@@ -358,6 +358,24 @@ fn corruption_is_always_detected() {
     }
 }
 
+/// An artifact listing one label pair twice is rejected even with a valid
+/// checksum: booting from it would compile two rows for one pair, and the
+/// packet path and the rule mutators could then resolve different rows.
+#[test]
+fn duplicate_row_is_rejected() {
+    let mut scratch = fresh(ForwarderMode::Affinity);
+    apply_rule_op(
+        &mut scratch,
+        &RuleOp::Install { chain: 1, egress: 1, epoch: 0, weights: vec![1, 2] },
+    );
+    let mut fa = scratch.export_artifact();
+    let mut twin = fa.rows[0].clone();
+    twin.rules = rules_from_weights(&[5]);
+    fa.rows.push(twin);
+    let err = decode(&encode(&site_full(fa, 1))).unwrap_err();
+    assert!(err.to_string().contains("strictly ascending"), "{err}");
+}
+
 /// The artifact telemetry surfaces everywhere the FIB metrics do:
 /// `artifact.swaps` counts hot-swaps per forwarder and shows up in both
 /// `export_json` and the windowed time-series, attributed to the window

@@ -19,9 +19,9 @@
 
 use sb_dataplane::runner::{
     measure_isolated, measure_isolated_with_hub, measure_sharded, measure_sharded_with_hub,
-    ScaleoutConfig, ShardedConfig,
+    ScaleoutConfig, ScaleoutResult, ShardedConfig,
 };
-use sb_dataplane::ForwarderMode;
+use sb_dataplane::{reference, ForwarderMode};
 use sb_telemetry::{Telemetry, WindowConfig, WindowRoller};
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -325,7 +325,7 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
     let mut mixed_best = [(0.0_f64, 0_u64); 2];
     for _ in 0..MIXED_BEST_OF {
         for (slot, compiled) in [false, true].into_iter().enumerate() {
-            let r = measure_isolated_with_hub(&mixed_config(cfg, sweep_flows, compiled), Some(&hub));
+            let r = measure_mixed(&mixed_config(cfg, sweep_flows), compiled, Some(&hub));
             if r.throughput.value() > mixed_best[slot].0 {
                 mixed_best[slot] = (r.throughput.value(), r.latency.p50_ns);
             }
@@ -448,12 +448,25 @@ pub const MIXED_BEST_OF: usize = 3;
 /// would measure probe latency, not rule resolution), with bidirectional
 /// traffic so half of each chain's flows carry the reverse, never-installed
 /// label pair and exercise the chain-fallback lookup.
-fn mixed_config(cfg: &BaselineConfig, flows: usize, compiled: bool) -> ScaleoutConfig {
+fn mixed_config(cfg: &BaselineConfig, flows: usize) -> ScaleoutConfig {
     ScaleoutConfig {
         chains: MIXED_CHAINS,
-        compiled_fib: compiled,
         bidirectional: true,
         ..scaleout_config(cfg, ForwarderMode::Overlay, flows)
+    }
+}
+
+/// One mixed-label run on the compiled forwarder or, for the interpreted
+/// row, on the reference forwarder (`sb_dataplane::reference`).
+fn measure_mixed(
+    config: &ScaleoutConfig,
+    compiled: bool,
+    hub: Option<&Telemetry>,
+) -> ScaleoutResult {
+    if compiled {
+        measure_isolated_with_hub(config, hub)
+    } else {
+        reference::measure_isolated_with_hub(config, hub)
     }
 }
 
@@ -717,7 +730,7 @@ pub fn check_mixed(cfg: &BaselineConfig) -> MixedReport {
     let mut best = [0.0_f64; 2];
     for _ in 0..MIXED_BEST_OF {
         for (slot, compiled) in [false, true].into_iter().enumerate() {
-            let mpps = measure_isolated(&mixed_config(cfg, flows, compiled))
+            let mpps = measure_mixed(&mixed_config(cfg, flows), compiled, None)
                 .throughput
                 .value();
             best[slot] = best[slot].max(mpps);

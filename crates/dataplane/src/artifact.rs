@@ -9,8 +9,7 @@
 //! registrations a forwarder needs to strip/re-affix labels. The control
 //! plane emits one per participant site at 2PC install time; a data-plane
 //! process — in-process or standalone, see the `sb` CLI — consumes it via
-//! `Forwarder::apply_artifact` and hot-swaps through the existing RCU
-//! generation publish.
+//! `Forwarder::apply_artifact` and hot-swaps to the next FIB generation.
 //!
 //! # Format (version 1)
 //!
@@ -398,14 +397,16 @@ fn mode_from_u8(v: u8) -> Result<ForwarderMode> {
 }
 
 /// Deserializes a version-1 artifact, validating the magic, version,
-/// trailer checksum, label ranges, epoch ordering, and alias-table shape.
+/// trailer checksum, label ranges, row and epoch ordering, and alias-table
+/// shape.
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidArgument`] on any structural defect: wrong
 /// magic, unsupported version, checksum mismatch, truncation, trailing
-/// garbage, out-of-range labels or alias indices, or epoch lists that are
-/// not ascending with the active epoch last.
+/// garbage, out-of-range labels or alias indices, row label pairs that are
+/// not strictly ascending (a repeated pair included), or epoch lists that
+/// are not ascending with the active epoch last.
 pub fn decode(bytes: &[u8]) -> Result<SiteArtifact> {
     if bytes.len() < MAGIC.len() + 2 + 8 {
         return Err(Error::invalid_argument("artifact: too short"));
@@ -449,9 +450,16 @@ pub fn decode(bytes: &[u8]) -> Result<SiteArtifact> {
         let n_unaware = d.u32()? as usize;
         let n_removed = d.u32()? as usize;
 
-        let mut rows = Vec::with_capacity(n_rows.min(4096));
+        let mut rows: Vec<FibRow> = Vec::with_capacity(n_rows.min(4096));
         for _ in 0..n_rows {
             let labels = d.labels()?;
+            // The encoder sorts rows by label pair; a repeated or
+            // out-of-order pair is not a canonical artifact.
+            if rows.last().is_some_and(|prev| prev.labels >= labels) {
+                return Err(Error::invalid_argument(
+                    "artifact: row label pairs must be strictly ascending",
+                ));
+            }
             let active_epoch = d.u64()?;
             let n_epochs = d.u32()? as usize;
             if n_epochs == 0 {

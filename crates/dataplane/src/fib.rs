@@ -1,47 +1,39 @@
-//! The compiled FIB: dense label-interned rule tables with RCU-style
-//! generation publish (DESIGN.md §14).
+//! The compiled FIB: dense label-interned rule tables published as
+//! immutable generations (DESIGN.md §14).
 //!
-//! The forwarder's authoritative rule state is a
-//! `HashMap<LabelPair, EpochRules>` — ideal for the control plane's
-//! incremental installs and retires, but wrong for the per-packet hot path:
-//! every probe pays SipHash over the label pair plus a pointer chase into
-//! the epoch vector, and mixed-label fleet traffic defeats the batch loop's
-//! one-entry rule cache entirely. Following Active Switching's insight that
-//! chain steering should be resolved into flat per-hop state rather than
-//! re-looked-up per packet, this module compiles the rule map into a
-//! [`CompiledFib`]:
+//! The compiled FIB is the forwarder's only rule store. Following Active
+//! Switching's insight that chain steering should be resolved into flat
+//! per-hop state rather than re-looked-up per packet, a [`CompiledFib`]
+//! holds:
 //!
 //! - a **label-interning table**: an open-addressed, power-of-two probe
 //!   table mapping a packed `LabelPair` to a small dense row index — a
 //!   splitmix-mixed u64 compare per probe, no SipHash, no buckets;
 //! - **dense rule rows** ([`FibRow`]): per label pair, the active epoch's
-//!   [`RuleSet`] with its Vose alias tables already baked (cloned from the
-//!   install-time build), the active epoch tag, and the full ascending
-//!   epoch list — both epochs of a make-before-break update are present in
-//!   one generation until the old one is retired;
+//!   [`RuleSet`] with its Vose alias tables already baked, the active
+//!   epoch tag, and the full ascending epoch list — both epochs of a
+//!   make-before-break update are present in one generation until the old
+//!   one is retired. The rows are exactly what a `.sba` artifact carries;
+//! - beside each row, the **rule payloads of its older epochs**, so
+//!   retiring the active epoch rolls back to the previous rules. They never
+//!   leave the process: an artifact lists older epochs as drain-only tags;
 //! - a **chain-fallback table**: reverse-direction packets carry the
 //!   opposite egress label, so a miss on the exact pair falls back to the
-//!   chain's canonical (smallest) label pair, mirroring the interpreted
-//!   lookup deterministically.
+//!   chain's canonical (smallest) label pair.
 //!
 //! # Generation lifecycle
 //!
 //! Compilation happens off the hot path, in the rule mutators
 //! (`install_rules_epoch` / `retire_epoch` / `fail_vnf_instance` / ...).
-//! Each mutation builds the next [`CompiledFib`] — a full rebuild from the
-//! rule map, or an in-place single-row patch ([`CompiledFib::patch_row`])
-//! when only one label pair changed — and publishes it through a
-//! [`FibCell`] with RCU semantics: readers ([`FibReader`]) keep an `Arc`
-//! to the generation they last saw and re-check a single atomic generation
-//! counter per batch; only when the generation moved do they take the
-//! cell's lock to swap their `Arc`. Packet processing therefore never
-//! stalls on a rebuild, and a generation stays alive (and consistent)
-//! for as long as any reader still holds it.
+//! Each mutation derives the next [`CompiledFib`] from the current one — a
+//! full rebuild when the row set changes, or an in-place single-row patch
+//! ([`CompiledFib::patch_row`]) when one existing label pair changed — and
+//! the forwarder swaps its `Arc` to it. A published generation is never
+//! edited, so the packet path reads one consistent generation per batch
+//! without a lock or an atomic.
 
 use crate::forwarder::RuleSet;
 use sb_types::LabelPair;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Issues a best-effort read prefetch for the cache line holding `p`.
 ///
@@ -85,13 +77,17 @@ pub struct FibRow {
 /// An immutable compiled snapshot of a forwarder's rule state.
 ///
 /// Built off the hot path by [`CompiledFib::build`] (full rebuild) or
-/// [`CompiledFib::patch_row`] (single-row delta) and published through a
-/// [`FibCell`]. Lookups are wait-free and allocation-free.
+/// [`CompiledFib::patch_row`] (single-row delta) and published by the
+/// forwarder as its next generation. Lookups are allocation-free.
 #[derive(Debug)]
 pub struct CompiledFib {
     generation: u64,
     /// Rule rows, sorted by label pair — deterministic across rebuilds.
     rows: Vec<FibRow>,
+    /// `older[i]`: the rule payloads of `rows[i]`'s older epochs, aligned
+    /// with `rows[i].epochs` minus the active (last) one. Only the rule
+    /// mutators read them; the packet path never does.
+    older: Vec<Vec<RuleSet>>,
     /// Interning table: packed label-pair key per slot.
     slot_keys: Box<[u64]>,
     /// Row index per slot; [`FIB_MISS`] marks an empty slot.
@@ -100,6 +96,58 @@ pub struct CompiledFib {
     /// `(chain value, canonical row index)` sorted by chain value; the
     /// canonical row is the chain's smallest label pair.
     chains: Vec<(u32, u32)>,
+}
+
+/// Every installed epoch's rule payload for one label pair (DESIGN.md
+/// §10), ascending by epoch; the last is the active one. The editable form
+/// of a FIB row: mutators take a row's set out
+/// ([`CompiledFib::epoch_rules`]), edit it, and compile it back in
+/// ([`CompiledFib::with_epoch_rules`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EpochRules {
+    /// `(epoch, rules)` pairs, ascending by epoch; the last is active.
+    pub(crate) sets: Vec<(u64, RuleSet)>,
+}
+
+impl EpochRules {
+    pub(crate) fn install(&mut self, epoch: u64, rules: RuleSet) {
+        match self.sets.binary_search_by_key(&epoch, |(ep, _)| *ep) {
+            Ok(i) => self.sets[i].1 = rules,
+            Err(i) => self.sets.insert(i, (epoch, rules)),
+        }
+    }
+
+    pub(crate) fn retire(&mut self, epoch: u64) -> bool {
+        match self.sets.binary_search_by_key(&epoch, |(ep, _)| *ep) {
+            Ok(i) => {
+                self.sets.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// The row for `labels` plus its older payloads; `None` when no epoch
+    /// is left.
+    fn into_row(mut self, labels: LabelPair) -> Option<(FibRow, Vec<RuleSet>)> {
+        let (active_epoch, rules) = self.sets.pop()?;
+        let mut epochs: Vec<u64> = self.sets.iter().map(|(ep, _)| *ep).collect();
+        epochs.push(active_epoch);
+        let older = self.sets.into_iter().map(|(_, r)| r).collect();
+        let row = FibRow {
+            labels,
+            active_epoch,
+            epochs,
+            rules,
+        };
+        Some((row, older))
+    }
+}
+
+/// The older-epoch payloads of a row given in artifact form: older epochs
+/// travel as drain-only tags, so each takes the active payload.
+fn drain_payloads(row: &FibRow) -> Vec<RuleSet> {
+    vec![row.rules.clone(); row.epochs.len().saturating_sub(1)]
 }
 
 /// Packs a label pair into the u64 interning key.
@@ -125,10 +173,27 @@ impl CompiledFib {
 
     /// Compiles `rows` into a FIB tagged `generation`. Rows are sorted by
     /// label pair, so the layout (and the chain-fallback choice) is
-    /// deterministic regardless of the rule map's iteration order.
+    /// deterministic regardless of input order; of rows sharing a label
+    /// pair only the first is kept, so every pair has exactly one row. The
+    /// rows are in artifact form — active payload only — so each older
+    /// epoch takes the active payload.
     #[must_use]
-    pub fn build(generation: u64, mut rows: Vec<FibRow>) -> Self {
-        rows.sort_by_key(|r| r.labels);
+    pub fn build(generation: u64, rows: Vec<FibRow>) -> Self {
+        let entries = rows
+            .into_iter()
+            .map(|row| {
+                let older = drain_payloads(&row);
+                (row, older)
+            })
+            .collect();
+        Self::compile(generation, entries)
+    }
+
+    /// [`build`](Self::build) over rows paired with their older payloads.
+    fn compile(generation: u64, mut entries: Vec<(FibRow, Vec<RuleSet>)>) -> Self {
+        entries.sort_by_key(|(row, _)| row.labels);
+        entries.dedup_by_key(|(row, _)| row.labels);
+        let (rows, older): (Vec<FibRow>, Vec<Vec<RuleSet>>) = entries.into_iter().unzip();
         let buckets = (rows.len() * 2).next_power_of_two().max(8);
         let mut slot_keys = vec![0u64; buckets].into_boxed_slice();
         let mut slot_rows = vec![FIB_MISS; buckets].into_boxed_slice();
@@ -153,6 +218,7 @@ impl CompiledFib {
         Self {
             generation,
             rows,
+            older,
             slot_keys,
             slot_rows,
             mask,
@@ -161,32 +227,103 @@ impl CompiledFib {
     }
 
     /// A copy of this FIB with one row replaced (or inserted), tagged
-    /// `generation`. The single-row delta path for installs and retires
-    /// that touch one surviving label pair: row payloads are cloned but
-    /// nothing is re-derived from the rule map. A replacement reuses the
-    /// interning and fallback tables verbatim; an insert falls back to a
-    /// fresh [`build`](Self::build) over the extended row set.
+    /// `generation`; the row is in artifact form, as for
+    /// [`build`](Self::build). A replacement clones the rows and reuses
+    /// the interning and fallback tables verbatim; an insert falls back to
+    /// a fresh build over the extended row set.
     #[must_use]
     pub fn patch_row(&self, generation: u64, row: FibRow) -> Self {
-        match self.rows.binary_search_by_key(&row.labels, |r| r.labels) {
-            Ok(i) => {
-                let mut rows = self.rows.clone();
-                rows[i] = row;
-                Self {
-                    generation,
-                    rows,
-                    slot_keys: self.slot_keys.clone(),
-                    slot_rows: self.slot_rows.clone(),
-                    mask: self.mask,
-                    chains: self.chains.clone(),
-                }
-            }
-            Err(_) => {
-                let mut rows = self.rows.clone();
-                rows.push(row);
-                Self::build(generation, rows)
+        let older = drain_payloads(&row);
+        self.patch(generation, row, older).0
+    }
+
+    /// [`patch_row`](Self::patch_row) with explicit older payloads; also
+    /// returns whether the row was replaced in place (`false`: inserted).
+    fn patch(&self, generation: u64, row: FibRow, older: Vec<RuleSet>) -> (Self, bool) {
+        let Some(i) = self.position(row.labels) else {
+            let mut entries = self.entries();
+            entries.push((row, older));
+            return (Self::compile(generation, entries), false);
+        };
+        let mut rows = self.rows.clone();
+        rows[i] = row;
+        let mut all_older = self.older.clone();
+        all_older[i] = older;
+        let fib = Self {
+            generation,
+            rows,
+            older: all_older,
+            slot_keys: self.slot_keys.clone(),
+            slot_rows: self.slot_rows.clone(),
+            mask: self.mask,
+            chains: self.chains.clone(),
+        };
+        (fib, true)
+    }
+
+    /// Every row with its older payloads, cloned: the input of a rebuild.
+    fn entries(&self) -> Vec<(FibRow, Vec<RuleSet>)> {
+        self.rows
+            .iter()
+            .cloned()
+            .zip(self.older.iter().cloned())
+            .collect()
+    }
+
+    /// The index of the row for exactly `labels`.
+    fn position(&self, labels: LabelPair) -> Option<usize> {
+        self.rows.binary_search_by_key(&labels, |r| r.labels).ok()
+    }
+
+    /// The row for exactly `labels` (no chain fallback).
+    #[must_use]
+    pub fn get(&self, labels: LabelPair) -> Option<&FibRow> {
+        self.position(labels).map(|i| &self.rows[i])
+    }
+
+    /// Every epoch's payload for exactly `labels`, cloned for editing.
+    pub(crate) fn epoch_rules(&self, labels: LabelPair) -> Option<EpochRules> {
+        let i = self.position(labels)?;
+        let row = &self.rows[i];
+        let mut sets: Vec<(u64, RuleSet)> = row
+            .epochs
+            .iter()
+            .copied()
+            .zip(self.older[i].iter().cloned())
+            .collect();
+        sets.push((row.active_epoch, row.rules.clone()));
+        Some(EpochRules { sets })
+    }
+
+    /// The next generation with `labels`' row set to `rules`: replaced in
+    /// place when the pair exists, inserted when it is new, removed when
+    /// `rules` is empty. Also returns whether it was an in-place patch
+    /// (`false`: the row set changed, so the tables were rebuilt).
+    pub(crate) fn with_epoch_rules(
+        &self,
+        generation: u64,
+        labels: LabelPair,
+        rules: EpochRules,
+    ) -> (Self, bool) {
+        match rules.into_row(labels) {
+            Some((row, older)) => self.patch(generation, row, older),
+            None => {
+                let mut entries = self.entries();
+                entries.retain(|(row, _)| row.labels != labels);
+                (Self::compile(generation, entries), false)
             }
         }
+    }
+
+    /// The next generation with `f` applied to every rule payload of every
+    /// row, active and older (a rebuild).
+    pub(crate) fn map_rules(&self, generation: u64, mut f: impl FnMut(&mut RuleSet)) -> Self {
+        let mut entries = self.entries();
+        for (row, older) in &mut entries {
+            f(&mut row.rules);
+            older.iter_mut().for_each(&mut f);
+        }
+        Self::compile(generation, entries)
     }
 
     /// This snapshot's generation number.
@@ -216,7 +353,7 @@ impl CompiledFib {
     /// Resolves a label pair to its row index: exact match through the
     /// interning table, else the chain's canonical row (reverse-direction
     /// packets carry the opposite egress label but belong to the same
-    /// chain), else `None`. Mirrors the interpreted lookup exactly.
+    /// chain), else `None`.
     #[inline]
     #[must_use]
     pub fn lookup_index(&self, labels: LabelPair) -> Option<u32> {
@@ -258,132 +395,6 @@ impl CompiledFib {
     }
 }
 
-/// Shared state behind a [`FibCell`] and its readers.
-#[derive(Debug)]
-struct FibShared {
-    /// The published generation; written with `Release` after the slot
-    /// swap, so a reader that observes it and takes the lock is guaranteed
-    /// to find (at least) that generation's `Arc` in the slot.
-    generation: AtomicU64,
-    slot: Mutex<Arc<CompiledFib>>,
-}
-
-/// The writer side of the RCU publish protocol.
-///
-/// One cell per forwarder: mutators build the next [`CompiledFib`] off the
-/// hot path and [`publish`](FibCell::publish) it; the swap is a brief lock
-/// over one `Arc` assignment, never a stall proportional to table size.
-/// Readers obtained via [`reader`](FibCell::reader) can live on other
-/// threads; generations they still hold stay alive until dropped.
-#[derive(Debug)]
-pub struct FibCell {
-    shared: Arc<FibShared>,
-}
-
-impl FibCell {
-    /// Creates a cell publishing `fib` as the initial generation.
-    #[must_use]
-    pub fn new(fib: CompiledFib) -> Self {
-        let generation = fib.generation();
-        Self {
-            shared: Arc::new(FibShared {
-                generation: AtomicU64::new(generation),
-                slot: Mutex::new(Arc::new(fib)),
-            }),
-        }
-    }
-
-    /// The currently published generation number.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.shared.generation.load(Ordering::Acquire)
-    }
-
-    /// The currently published snapshot (writer-side convenience, used to
-    /// derive patches).
-    #[must_use]
-    pub fn current(&self) -> Arc<CompiledFib> {
-        Arc::clone(&self.shared.slot.lock().expect("fib slot poisoned"))
-    }
-
-    /// Publishes `fib` as the new generation. The slot swap happens under
-    /// the lock; the generation counter is released afterwards, so readers
-    /// that observe the new number always find the new snapshot.
-    pub fn publish(&self, fib: CompiledFib) {
-        let generation = fib.generation();
-        let mut slot = self.shared.slot.lock().expect("fib slot poisoned");
-        *slot = Arc::new(fib);
-        self.shared.generation.store(generation, Ordering::Release);
-    }
-
-    /// A reader handle over this cell (cheap; clone freely across threads).
-    #[must_use]
-    pub fn reader(&self) -> FibReader {
-        let cached = self.current();
-        FibReader {
-            shared: Arc::clone(&self.shared),
-            cached_generation: cached.generation(),
-            cached,
-        }
-    }
-
-    /// A detached copy: a fresh cell whose initial snapshot is this cell's
-    /// current generation, with no further coupling. Cloning a forwarder
-    /// must not let the clone's rebuilds clobber the original's FIB.
-    #[must_use]
-    pub fn detach(&self) -> Self {
-        let cached = self.current();
-        Self {
-            shared: Arc::new(FibShared {
-                generation: AtomicU64::new(cached.generation()),
-                slot: Mutex::new(cached),
-            }),
-        }
-    }
-}
-
-/// The reader side of the RCU publish protocol: caches the last generation
-/// seen and re-checks one atomic per batch, taking the cell's lock only
-/// when the generation actually moved.
-#[derive(Debug)]
-pub struct FibReader {
-    shared: Arc<FibShared>,
-    cached_generation: u64,
-    cached: Arc<CompiledFib>,
-}
-
-impl FibReader {
-    /// The current snapshot. Wait-free (one `Acquire` load) while the
-    /// published generation is unchanged; on a change, briefly locks the
-    /// slot to re-clone the new `Arc`.
-    #[inline]
-    pub fn snapshot(&mut self) -> &Arc<CompiledFib> {
-        let generation = self.shared.generation.load(Ordering::Acquire);
-        if generation != self.cached_generation {
-            self.cached = Arc::clone(&self.shared.slot.lock().expect("fib slot poisoned"));
-            self.cached_generation = self.cached.generation();
-        }
-        &self.cached
-    }
-
-    /// The generation of the snapshot this reader currently holds (without
-    /// refreshing).
-    #[must_use]
-    pub fn held_generation(&self) -> u64 {
-        self.cached_generation
-    }
-}
-
-impl Clone for FibReader {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-            cached_generation: self.cached_generation,
-            cached: Arc::clone(&self.cached),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +430,19 @@ mod tests {
         let idx = fib.lookup_index(pair(1, 2)).unwrap();
         assert_eq!(fib.row(idx).labels, pair(1, 2));
         assert!(fib.lookup_index(pair(9, 9)).is_none());
+    }
+
+    #[test]
+    fn duplicate_pairs_compile_to_one_row() {
+        let fib = CompiledFib::build(1, vec![row(1, 2, 10), row(3, 4, 11), row(1, 2, 12)]);
+        assert_eq!(fib.len(), 2);
+        let idx = fib.lookup_index(pair(1, 2)).unwrap();
+        assert_eq!(fib.get(pair(1, 2)), Some(fib.row(idx)));
+        assert_eq!(
+            fib.row(idx).rules.to_vnf.targets(),
+            ruleset(10).to_vnf.targets(),
+            "the first row of a repeated pair wins"
+        );
     }
 
     #[test]
@@ -463,74 +487,6 @@ mod tests {
         // ...and becomes the chain's new canonical fallback.
         let idx = grown.lookup_index(pair(1, 77)).unwrap();
         assert_eq!(grown.row(idx).labels, pair(1, 1));
-    }
-
-    #[test]
-    fn cell_publish_and_reader_refresh() {
-        let cell = FibCell::new(CompiledFib::empty());
-        let mut reader = cell.reader();
-        assert_eq!(reader.snapshot().generation(), 0);
-        cell.publish(CompiledFib::build(1, vec![row(1, 2, 10)]));
-        assert_eq!(cell.generation(), 1);
-        let snap = reader.snapshot();
-        assert_eq!(snap.generation(), 1);
-        assert_eq!(snap.len(), 1);
-    }
-
-    #[test]
-    fn detached_cell_does_not_clobber_the_original() {
-        let cell = FibCell::new(CompiledFib::build(3, vec![row(1, 2, 10)]));
-        let detached = cell.detach();
-        detached.publish(CompiledFib::build(4, Vec::new()));
-        assert_eq!(cell.generation(), 3, "original cell must be untouched");
-        assert_eq!(cell.current().len(), 1);
-        assert_eq!(detached.generation(), 4);
-    }
-
-    #[test]
-    fn readers_see_consistent_generations_under_concurrent_publish() {
-        // Writer publishes N generations where generation g carries g rows,
-        // each tagged active_epoch == g; readers must only ever observe
-        // snapshots satisfying that invariant (never a half-published mix).
-        const GENERATIONS: u64 = 200;
-        let cell = FibCell::new(CompiledFib::empty());
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let mut reader = cell.reader();
-            handles.push(std::thread::spawn(move || {
-                let mut last = 0u64;
-                loop {
-                    let snap = reader.snapshot();
-                    let g = snap.generation();
-                    assert!(g >= last, "generation went backwards: {g} < {last}");
-                    assert_eq!(snap.len() as u64, g, "row count mismatch at gen {g}");
-                    assert!(
-                        snap.rows().iter().all(|r| r.active_epoch == g),
-                        "torn snapshot at gen {g}"
-                    );
-                    last = g;
-                    if g == GENERATIONS {
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
-            }));
-        }
-        for g in 1..=GENERATIONS {
-            #[allow(clippy::cast_possible_truncation)]
-            let rows = (0..g)
-                .map(|i| FibRow {
-                    labels: pair(i as u32 + 1, 1),
-                    active_epoch: g,
-                    epochs: vec![g],
-                    rules: ruleset(i),
-                })
-                .collect();
-            cell.publish(CompiledFib::build(g, rows));
-        }
-        for h in handles {
-            h.join().expect("reader thread panicked");
-        }
     }
 
     #[test]

@@ -23,19 +23,21 @@
 //!
 //! The hot path follows the software-dataplane playbook (VPP, DPDK l3fwd):
 //!
+//! - The compiled FIB ([`crate::fib`]) is the only rule store; every rule
+//!   mutator derives and publishes its next generation.
 //! - [`FlowKey::stable_hash`] is computed **once** per packet at parse time
 //!   and threaded through synthetic header work, flow-table lookup
 //!   ([`crate::FlowTable::get_hashed`]), and weighted selection
 //!   ([`WeightedChoice::select`]).
-//! - [`Forwarder::process_batch`] amortizes mode dispatch and rule lookup
-//!   across a batch and interleaves the per-packet header-work loops of up
-//!   to [`IO_WORK_LANES`] packets, breaking the serial dependency chain
-//!   that dominates single-packet processing. Batched processing is
-//!   packet-for-packet equivalent to calling [`Forwarder::process`] in a
-//!   loop — same next hops, same errors, same counters, same `work_sink`.
+//! - [`Forwarder::process_batch`] amortizes mode dispatch across a batch,
+//!   resolves FIB rows and prefetches ahead of use, and interleaves the
+//!   per-packet header-work loops of up to [`IO_WORK_LANES`] packets,
+//!   breaking the serial dependency chain that dominates single-packet
+//!   processing. [`Forwarder::process`] is a one-packet batch, so both
+//!   entry points share one packet path.
 
 use crate::artifact::{ArtifactKind, ForwarderArtifact};
-use crate::fib::{CompiledFib, FibCell, FibReader, FibRow, FIB_MISS};
+use crate::fib::{CompiledFib, EpochRules, FIB_MISS};
 use crate::flow_table::{FlowContext, FlowTable, FlowTableKey};
 use crate::loadbalancer::WeightedChoice;
 use crate::packet::{Addr, Packet, TunnelHeader};
@@ -104,7 +106,7 @@ pub struct ForwarderStats {
 pub const IO_WORK_LANES: usize = 8;
 
 /// Packets staged per internal batch chunk; bounds the stack scratch space.
-const BATCH_CHUNK: usize = 32;
+pub(crate) const BATCH_CHUNK: usize = 32;
 
 /// Telemetry handles held by an instrumented forwarder.
 ///
@@ -116,7 +118,7 @@ const BATCH_CHUNK: usize = 32;
 /// ordinal (`ordinal % every == 0`), a pure function of stream position,
 /// so batch and sequential processing sample — and record — identically.
 #[derive(Debug, Clone)]
-struct FwdTelemetry {
+pub(crate) struct FwdTelemetry {
     tracer: TraceRecorder,
     /// Sampling period; never 0 (a zero rate means no telemetry at all).
     sample_every: u64,
@@ -212,6 +214,20 @@ impl FwdTelemetry {
         }
     }
 
+    /// Records the hop of the packet with rx ordinal `ordinal` if it is
+    /// the next one due for sampling.
+    pub(crate) fn sample(
+        &mut self,
+        id: ForwarderId,
+        mode: ForwarderMode,
+        ordinal: u64,
+        next: core::result::Result<Addr, &Error>,
+    ) {
+        if ordinal == self.next_sample {
+            self.record_hop(id, mode, ordinal, next);
+        }
+    }
+
     /// Publishes the current stats into the registry.
     fn sync(&mut self, stats: &ForwarderStats, flow_entries: usize, fib: FibSyncStats) {
         self.rx.set(stats.rx);
@@ -229,34 +245,25 @@ impl FwdTelemetry {
     }
 }
 
-/// The forwarder's compiled-FIB state: the RCU publish cell (writer side),
-/// the forwarder's own cached reader for the batch path, the path toggle,
-/// and recompilation counters.
+/// The forwarder's compiled-FIB state: the published generation and its
+/// recompilation counters.
 ///
-/// `Clone` detaches: a cloned forwarder gets a fresh cell seeded with the
-/// current generation, so its subsequent rebuilds never clobber (or race
-/// with) the original's readers.
-#[derive(Debug)]
+/// Each mutator builds the next [`CompiledFib`] aside and swaps the `Arc`;
+/// a generation is never edited in place. A cloned forwarder therefore
+/// shares the current generation until one side publishes its own.
+#[derive(Debug, Clone)]
 struct FibState {
-    cell: FibCell,
-    reader: FibReader,
-    /// Whether `process_batch` uses the compiled pipelined path (default)
-    /// or the interpreted reference loop.
-    enabled: bool,
-    /// Full recompilations published so far.
+    current: Arc<CompiledFib>,
+    /// Publishes that rebuilt the tables (the row set changed).
     rebuilds: u64,
-    /// Single-row patches published so far.
+    /// Publishes that patched one existing row in place.
     patches: u64,
 }
 
 impl FibState {
     fn new() -> Self {
-        let cell = FibCell::new(CompiledFib::empty());
-        let reader = cell.reader();
         Self {
-            cell,
-            reader,
-            enabled: true,
+            current: Arc::new(CompiledFib::empty()),
             rebuilds: 0,
             patches: 0,
         }
@@ -264,21 +271,7 @@ impl FibState {
 
     fn sync_stats(&self) -> FibSyncStats {
         FibSyncStats {
-            generation: self.cell.generation(),
-            rebuilds: self.rebuilds,
-            patches: self.patches,
-        }
-    }
-}
-
-impl Clone for FibState {
-    fn clone(&self) -> Self {
-        let cell = self.cell.detach();
-        let reader = cell.reader();
-        Self {
-            cell,
-            reader,
-            enabled: self.enabled,
+            generation: self.current.generation(),
             rebuilds: self.rebuilds,
             patches: self.patches,
         }
@@ -290,31 +283,30 @@ impl Clone for FibState {
 /// See the [crate docs](crate) for a worked example.
 #[derive(Debug, Clone)]
 pub struct Forwarder {
-    id: ForwarderId,
-    site: SiteId,
-    mode: ForwarderMode,
-    rules: HashMap<LabelPair, EpochRules>,
+    pub(crate) id: ForwarderId,
+    pub(crate) site: SiteId,
+    pub(crate) mode: ForwarderMode,
     /// Static next hop used in [`ForwarderMode::Bridge`].
-    bridge_next: Option<Addr>,
-    /// Labels to re-affix per label-unaware VNF instance (Section 5.3,
-    /// Conformity: "forwarders must be able to uniquely associate the exit
-    /// interface on the VNF with a set of labels").
-    vnf_labels: HashMap<InstanceId, LabelPair>,
-    /// VNF instances that do NOT support Switchboard labels; packets to
-    /// them are stripped.
-    label_unaware: HashMap<InstanceId, ()>,
-    flow_table: FlowTable,
-    /// The compiled FIB mirroring `rules`/epoch state, republished by every
-    /// rule mutator and consumed by the pipelined batch path (DESIGN.md
-    /// §14).
+    pub(crate) bridge_next: Option<Addr>,
+    /// Label-unaware VNF instances and the labels to re-affix to packets
+    /// they return (Section 5.3, Conformity: "forwarders must be able to
+    /// uniquely associate the exit interface on the VNF with a set of
+    /// labels"). Packets handed to them are stripped.
+    pub(crate) vnf_labels: HashMap<InstanceId, LabelPair>,
+    pub(crate) flow_table: FlowTable,
+    /// The compiled FIB: the forwarder's rule store, republished by every
+    /// rule mutator and read by the packet path (DESIGN.md §14).
     fib: FibState,
-    stats: ForwarderStats,
-    /// Sink for synthetic per-packet header work (see `io_work`), kept so
-    /// the optimizer cannot elide the loop.
+    pub(crate) stats: ForwarderStats,
+    /// Sink for synthetic per-packet header work (see `io_work_batch`),
+    /// kept so the optimizer cannot elide the loop.
     work_sink: u64,
     /// Optional registry/trace wiring; `None` (the default) keeps the fast
     /// path identical to the uninstrumented build.
-    telemetry: Option<FwdTelemetry>,
+    pub(crate) telemetry: Option<FwdTelemetry>,
+    /// Result buffer reused by [`Self::process`], so a one-packet batch
+    /// allocates nothing.
+    one_result: Vec<Result<Addr>>,
 }
 
 impl Forwarder {
@@ -336,15 +328,14 @@ impl Forwarder {
             id,
             site,
             mode,
-            rules: HashMap::new(),
             bridge_next: None,
             vnf_labels: HashMap::new(),
-            label_unaware: HashMap::new(),
             flow_table: FlowTable::with_capacity(capacity),
             fib: FibState::new(),
             stats: ForwarderStats::default(),
             work_sink: 0,
             telemetry: None,
+            one_result: Vec::with_capacity(1),
         }
     }
 
@@ -395,7 +386,7 @@ impl Forwarder {
         self.flow_table.len()
     }
 
-    /// Total synthetic per-packet header work accumulated (the `io_work`
+    /// Total synthetic per-packet header work accumulated (the header-work
     /// sink). Equivalence tests compare it across processing paths: equal
     /// sinks mean the paths did identical per-packet work in identical
     /// order.
@@ -404,16 +395,19 @@ impl Forwarder {
         self.work_sink
     }
 
+    /// The published compiled FIB: this forwarder's rule state.
+    pub(crate) fn fib(&self) -> &CompiledFib {
+        &self.fib.current
+    }
+
     /// Installs (or replaces) the rule sets for a label pair at its current
     /// active epoch. Existing flow-table entries are untouched, so
     /// established connections keep their instances (Section 5.3: "existing
     /// entries ... remain until the completion of a flow and only new flows
     /// route on the new routes").
     pub fn install_rules(&mut self, labels: LabelPair, rules: RuleSet) {
-        let entry = self.rules.entry(labels).or_default();
-        let epoch = entry.active_epoch().unwrap_or(0);
-        entry.install(epoch, rules);
-        self.fib_patch(labels);
+        let epoch = self.active_epoch(labels).unwrap_or(0);
+        self.install_rules_epoch(labels, rules, epoch);
     }
 
     /// Installs the rule sets for a label pair tagged with `epoch`
@@ -422,8 +416,9 @@ impl Forwarder {
     /// draining on whatever epoch installed their entry — make-before-break
     /// needs both present until the old epoch is retired.
     pub fn install_rules_epoch(&mut self, labels: LabelPair, rules: RuleSet, epoch: u64) {
-        self.rules.entry(labels).or_default().install(epoch, rules);
-        self.fib_patch(labels);
+        let mut set = self.fib().epoch_rules(labels).unwrap_or_default();
+        set.install(epoch, rules);
+        self.fib_set_pair(labels, set);
     }
 
     /// Removes the rule set tagged `epoch` for a label pair (the retire step
@@ -431,17 +426,14 @@ impl Forwarder {
     /// whether such an epoch was installed. Established flows continue via
     /// their flow-table entries regardless.
     pub fn retire_epoch(&mut self, labels: LabelPair, epoch: u64) -> bool {
-        let Some(entry) = self.rules.get_mut(&labels) else {
+        let Some(mut set) = self.fib().epoch_rules(labels) else {
             return false;
         };
-        let retired = entry.retire(epoch);
-        if entry.is_empty() {
-            self.rules.remove(&labels);
-        }
+        let retired = set.retire(epoch);
         if retired {
-            // Pair survives with fewer epochs → single-row patch; pair
-            // removed entirely → full rebuild (fib_patch decides).
-            self.fib_patch(labels);
+            // Pair survives with fewer epochs → single-row patch; last
+            // epoch gone → the row is removed (rebuild).
+            self.fib_set_pair(labels, set);
         }
         retired
     }
@@ -449,30 +441,25 @@ impl Forwarder {
     /// The active (highest installed) epoch for a label pair.
     #[must_use]
     pub fn active_epoch(&self, labels: LabelPair) -> Option<u64> {
-        self.rules.get(&labels).and_then(EpochRules::active_epoch)
+        self.fib().get(labels).map(|row| row.active_epoch)
     }
 
     /// All installed epochs for a label pair, ascending. Borrowed iterator
     /// form: no per-call allocation (callers that need a `Vec` collect at
     /// their own, colder boundary).
     pub fn installed_epochs(&self, labels: LabelPair) -> impl Iterator<Item = u64> + '_ {
-        self.rules
-            .get(&labels)
+        self.fib()
+            .get(labels)
             .into_iter()
-            .flat_map(|e| e.sets.iter().map(|(ep, _)| *ep))
+            .flat_map(|row| row.epochs.iter().copied())
     }
 
     /// Removes every epoch's rule sets for a label pair, returning the
     /// active one; established flows continue via their flow-table entries.
     pub fn remove_rules(&mut self, labels: LabelPair) -> Option<RuleSet> {
-        let removed = self
-            .rules
-            .remove(&labels)
-            .and_then(|mut e| e.sets.pop().map(|(_, r)| r));
-        if removed.is_some() {
-            self.fib_rebuild();
-        }
-        removed
+        let removed = self.fib().get(labels)?.rules.clone();
+        self.fib_set_pair(labels, EpochRules::default());
+        Some(removed)
     }
 
     /// Sets the static next hop used in [`ForwarderMode::Bridge`].
@@ -484,7 +471,6 @@ impl Forwarder {
     /// have labels stripped, and packets coming back are re-labeled with
     /// `labels`.
     pub fn register_label_unaware_vnf(&mut self, instance: InstanceId, labels: LabelPair) {
-        self.label_unaware.insert(instance, ());
         self.vnf_labels.insert(instance, labels);
     }
 
@@ -522,52 +508,28 @@ impl Forwarder {
     /// tests assert. Returns the number of flow-table entries evicted.
     pub fn fail_vnf_instance(&mut self, instance: InstanceId) -> usize {
         let dead = Addr::Vnf(instance);
-        for epochs in self.rules.values_mut() {
-            for (_, rules) in &mut epochs.sets {
-                if let Ok(pruned) = rules.to_vnf.without(dead) {
-                    rules.to_vnf = pruned;
-                }
+        let started = Instant::now();
+        let next = self.fib().map_rules(self.next_generation(), |rules| {
+            if let Ok(pruned) = rules.to_vnf.without(dead) {
+                rules.to_vnf = pruned;
             }
-        }
+        });
         // Every label pair may have changed: full recompilation.
-        self.fib_rebuild();
+        self.fib_publish(next, false, started);
         self.flow_table.remove_where(|_, next| next == dead)
-    }
-
-    /// Selects the batch-processing path: `true` (the default) runs the
-    /// compiled-FIB two-stage pipeline, `false` the interpreted reference
-    /// loop. [`Self::process`] always interprets — it is the equivalence
-    /// oracle either way. The compiled FIB itself is maintained regardless
-    /// of the toggle, so flipping it mid-stream is safe.
-    pub fn set_compiled_fib(&mut self, enabled: bool) {
-        self.fib.enabled = enabled;
-    }
-
-    /// Whether `process_batch` uses the compiled-FIB path.
-    #[must_use]
-    pub fn compiled_fib(&self) -> bool {
-        self.fib.enabled
     }
 
     /// The published compiled-FIB generation (bumped by every rule
     /// mutation).
     #[must_use]
     pub fn fib_generation(&self) -> u64 {
-        self.fib.cell.generation()
+        self.fib().generation()
     }
 
     /// `(full rebuilds, single-row patches)` published so far.
     #[must_use]
     pub fn fib_recompilations(&self) -> (u64, u64) {
         (self.fib.rebuilds, self.fib.patches)
-    }
-
-    /// A reader handle over this forwarder's compiled FIB, usable from
-    /// other threads; it keeps observing generations as mutators publish
-    /// them.
-    #[must_use]
-    pub fn fib_reader(&self) -> FibReader {
-        self.fib.cell.reader()
     }
 
     /// Exports this forwarder's compiled forwarding state as an artifact
@@ -578,12 +540,9 @@ impl Forwarder {
     /// by the control plane, which knows what changed.
     #[must_use]
     pub fn export_artifact(&self) -> ForwarderArtifact {
-        let fib = self.fib.cell.current();
-        let mut label_unaware: Vec<(InstanceId, LabelPair)> = self
-            .label_unaware
-            .keys()
-            .filter_map(|inst| self.vnf_labels.get(inst).map(|&l| (*inst, l)))
-            .collect();
+        let fib = self.fib();
+        let mut label_unaware: Vec<(InstanceId, LabelPair)> =
+            self.vnf_labels.iter().map(|(&i, &l)| (i, l)).collect();
         label_unaware.sort_by_key(|&(i, _)| i);
         ForwarderArtifact {
             forwarder: self.id,
@@ -608,57 +567,37 @@ impl Forwarder {
 
     /// Hot-swaps artifact state into this forwarder.
     ///
-    /// - [`ArtifactKind::Full`]: the rule map and label-unaware
-    ///   registrations are replaced wholesale and one full FIB rebuild is
-    ///   published.
+    /// - [`ArtifactKind::Full`]: the label-unaware registrations are
+    ///   replaced wholesale and one [`CompiledFib::build`] over the
+    ///   artifact rows is published.
     /// - [`ArtifactKind::Patch`]: removals drop their label pairs, each
-    ///   carried row reconciles its pair's epoch set (stale epochs
-    ///   retired, listed epochs installed), and registrations merge —
-    ///   every change flows through the single-row `patch_row` path.
+    ///   carried row replaces (or inserts) its pair's row — epoch list
+    ///   included, so stale epochs retire — and registrations merge.
     ///
-    /// Either way the swap rides the existing RCU generation publish:
-    /// in-flight batches finish on the snapshot they hold, the next batch
-    /// sees the new generation, and the flow table is never touched —
-    /// pinned flows drain across the swap with zero drops
+    /// Older epochs arrive as drain-only tags and take the row's active
+    /// payload. Either way the swap publishes whole generations between
+    /// batches — the next batch sees the new one — and the flow table is
+    /// never touched: pinned flows drain across the swap with zero drops
     /// (make-before-break, DESIGN.md §15).
     pub fn apply_artifact(&mut self, art: &ForwarderArtifact, kind: ArtifactKind) {
         match kind {
             ArtifactKind::Full => {
-                self.rules.clear();
-                self.label_unaware.clear();
-                self.vnf_labels.clear();
-                for row in &art.rows {
-                    let entry = self.rules.entry(row.labels).or_default();
-                    for &ep in &row.epochs {
-                        entry.install(ep, row.rules.clone());
-                    }
-                }
-                for &(instance, labels) in &art.label_unaware {
-                    self.register_label_unaware_vnf(instance, labels);
-                }
-                self.fib_rebuild();
+                self.vnf_labels = art.label_unaware.iter().copied().collect();
+                let started = Instant::now();
+                let next = CompiledFib::build(self.next_generation(), art.rows.clone());
+                self.fib_publish(next, false, started);
             }
             ArtifactKind::Patch => {
                 for &labels in &art.removed {
                     self.remove_rules(labels);
                 }
                 for row in &art.rows {
-                    let stale: Vec<u64> = self
-                        .installed_epochs(row.labels)
-                        .filter(|ep| !row.epochs.contains(ep))
-                        .collect();
-                    let entry = self.rules.entry(row.labels).or_default();
-                    for ep in stale {
-                        entry.retire(ep);
-                    }
-                    for &ep in &row.epochs {
-                        entry.install(ep, row.rules.clone());
-                    }
-                    self.fib_patch(row.labels);
+                    let started = Instant::now();
+                    let in_place = self.fib().get(row.labels).is_some();
+                    let next = self.fib().patch_row(self.next_generation(), row.clone());
+                    self.fib_publish(next, in_place, started);
                 }
-                for &(instance, labels) in &art.label_unaware {
-                    self.register_label_unaware_vnf(instance, labels);
-                }
+                self.vnf_labels.extend(art.label_unaware.iter().copied());
             }
         }
         if let Some(t) = &mut self.telemetry {
@@ -666,54 +605,34 @@ impl Forwarder {
         }
     }
 
-    /// Publishes a single-row patch for `labels` — or a full rebuild when
-    /// the pair no longer exists (its row must disappear).
-    fn fib_patch(&mut self, labels: LabelPair) {
-        let Some(entry) = self.rules.get(&labels) else {
-            self.fib_rebuild();
-            return;
-        };
-        let started = Instant::now();
-        let row = FibRow {
-            labels,
-            active_epoch: entry.active_epoch().unwrap_or(0),
-            epochs: entry.sets.iter().map(|(ep, _)| *ep).collect(),
-            rules: entry.active().expect("non-empty epoch set").clone(),
-        };
-        let generation = self.fib.cell.generation() + 1;
-        let next = self.fib.cell.current().patch_row(generation, row);
-        self.fib.cell.publish(next);
-        self.fib.patches += 1;
-        self.fib_note_published(started);
+    /// The generation number the next publish carries.
+    fn next_generation(&self) -> u64 {
+        self.fib().generation() + 1
     }
 
-    /// Recompiles the whole FIB from the rule map and publishes it.
-    fn fib_rebuild(&mut self) {
+    /// Publishes the next generation with `labels`' epoch set replaced by
+    /// `set`: an in-place patch when the pair survives, a rebuild when it
+    /// is new or `set` is empty.
+    fn fib_set_pair(&mut self, labels: LabelPair, set: EpochRules) {
         let started = Instant::now();
-        let generation = self.fib.cell.generation() + 1;
-        let rows = self
-            .rules
-            .iter()
-            .filter_map(|(labels, entry)| {
-                let rules = entry.active()?.clone();
-                Some(FibRow {
-                    labels: *labels,
-                    active_epoch: entry.active_epoch().unwrap_or(0),
-                    epochs: entry.sets.iter().map(|(ep, _)| *ep).collect(),
-                    rules,
-                })
-            })
-            .collect();
-        self.fib.cell.publish(CompiledFib::build(generation, rows));
-        self.fib.rebuilds += 1;
-        self.fib_note_published(started);
+        let (next, in_place) = self
+            .fib()
+            .with_epoch_rules(self.next_generation(), labels, set);
+        self.fib_publish(next, in_place, started);
     }
 
-    /// Publishes FIB telemetry after a rebuild/patch. The duration
-    /// histogram records only while telemetry is attached (rule churn is a
+    /// Publishes `next` as the current generation and counts it as a patch
+    /// (`in_place`) or a rebuild. The `fib.rebuild_ns` duration histogram
+    /// records only while telemetry is attached (rule churn is a
     /// control-plane event, and wall-clock durations must never leak into
     /// paths that compare registry snapshots built before attachment).
-    fn fib_note_published(&mut self, started: Instant) {
+    fn fib_publish(&mut self, next: CompiledFib, in_place: bool, started: Instant) {
+        self.fib.current = Arc::new(next);
+        if in_place {
+            self.fib.patches += 1;
+        } else {
+            self.fib.rebuilds += 1;
+        }
         if let Some(t) = &mut self.telemetry {
             #[allow(clippy::cast_possible_truncation)]
             t.fib_rebuild_ns
@@ -739,7 +658,7 @@ impl Forwarder {
     pub const AFFINITY_WORK_ROUNDS: u32 = 48;
 
     /// The header-work rounds charged per packet in `mode`.
-    const fn work_rounds(mode: ForwarderMode) -> u32 {
+    pub(crate) const fn work_rounds(mode: ForwarderMode) -> u32 {
         match mode {
             ForwarderMode::Bridge => Self::BASE_WORK_ROUNDS,
             ForwarderMode::Overlay => Self::BASE_WORK_ROUNDS + Self::LABEL_WORK_ROUNDS,
@@ -765,20 +684,28 @@ impl Forwarder {
         acc
     }
 
-    /// Synthetic per-packet header work for the single-packet path.
-    #[inline]
-    fn io_work(&mut self, seed: u64, rounds: u32) {
-        self.work_sink ^= Self::mix_rounds(seed, rounds);
+    /// Charges the batched synthetic header work of `seeds` to `work_sink`
+    /// (see [`Self::io_fold`]).
+    pub(crate) fn io_work_batch(&mut self, seeds: &[u64], rounds: u32) {
+        self.work_sink ^= Self::io_fold(seeds, rounds);
     }
 
-    /// Batched synthetic header work: runs the same per-seed mixing chains
-    /// as [`Self::io_work`], but interleaved [`IO_WORK_LANES`] packets at a
-    /// time so the chains' serial dependencies overlap across lanes. The
-    /// XOR-fold into `work_sink` is order-independent, so the result is
-    /// bit-identical to per-packet processing.
-    fn io_work_batch(&mut self, seeds: &[u64], rounds: u32) {
+    /// Batched synthetic header work: runs one [`Self::mix_rounds`] chain
+    /// per seed, interleaved [`IO_WORK_LANES`] packets at a time so the
+    /// chains' serial dependencies overlap across lanes, and XOR-folds the
+    /// results. A lone seed (a one-packet batch) runs its chain directly.
+    /// The fold is order-independent, so the result is bit-identical to
+    /// per-packet processing. Always inlined: in `process`'s one-packet
+    /// instantiation the lone-seed chain then compiles to a straight loop
+    /// (about a tenth of Bridge mode's per-packet cost otherwise).
+    #[inline(always)]
+    fn io_fold(seeds: &[u64], rounds: u32) -> u64 {
         let mut sink = 0u64;
         for chunk in seeds.chunks(IO_WORK_LANES) {
+            if let [seed] = *chunk {
+                sink ^= Self::mix_rounds(seed, rounds);
+                continue;
+            }
             let mut accs = [0u64; IO_WORK_LANES];
             accs[..chunk.len()].copy_from_slice(chunk);
             for i in 0..rounds {
@@ -796,11 +723,12 @@ impl Forwarder {
                 sink ^= acc;
             }
         }
-        self.work_sink ^= sink;
+        sink
     }
 
     /// Processes one packet arriving from `from`, returning the (possibly
-    /// re-labeled / re-tunneled) packet and the next-hop address.
+    /// re-labeled / re-tunneled) packet and the next-hop address. A
+    /// one-packet [`Self::process_batch`]: same path, same counters.
     ///
     /// # Errors
     ///
@@ -809,24 +737,14 @@ impl Forwarder {
     ///   matches, or `Bridge` mode has no next hop configured.
     /// - [`Error::ResourceExhausted`] when the flow table is full.
     pub fn process(&mut self, pkt: Packet, from: Addr) -> Result<(Packet, Addr)> {
-        let ordinal = self.stats.rx;
-        self.stats.rx += 1;
-        let result = self.process_inner(pkt, from);
-        match result {
-            Ok(_) => self.stats.tx += 1,
-            Err(_) => self.stats.drops += 1,
-        }
-        if let Some(t) = &mut self.telemetry {
-            if ordinal == t.next_sample {
-                let next = match &result {
-                    Ok((_, addr)) => Ok(*addr),
-                    Err(e) => Err(e),
-                };
-                t.record_hop(self.id, self.mode, ordinal, next);
-            }
-            t.sync(&self.stats, self.flow_table.len(), self.fib.sync_stats());
-        }
-        result
+        let mut one = [pkt];
+        let mut out = std::mem::take(&mut self.one_result);
+        out.clear();
+        self.process_chunk::<1>(&mut one, from, &mut out);
+        self.sync_telemetry();
+        let result = out.pop().expect("one result per packet");
+        self.one_result = out;
+        result.map(|next| (one[0], next))
     }
 
     /// Processes a batch of packets that arrived together from `from`,
@@ -834,12 +752,8 @@ impl Forwarder {
     /// tunnel encapsulation) and returning one next-hop result per packet,
     /// in order.
     ///
-    /// Equivalent to calling [`Self::process`] per packet — same next hops,
-    /// errors, counters, flow-table state, and `work_sink` — but amortizes
-    /// mode dispatch and rule lookup across the batch and interleaves the
-    /// per-packet header-work chains (see [`Self::io_work_batch`]). One
-    /// difference: packets whose result is `Err` may still have been
-    /// rewritten in place (they are drops either way).
+    /// Packets whose result is `Err` may still have been rewritten in place
+    /// (they are drops either way).
     pub fn process_batch(&mut self, pkts: &mut [Packet], from: Addr) -> Vec<Result<Addr>> {
         let mut out = Vec::new();
         self.process_batch_into(pkts, from, &mut out);
@@ -857,23 +771,46 @@ impl Forwarder {
         out.clear();
         out.reserve(pkts.len());
         for chunk in pkts.chunks_mut(BATCH_CHUNK) {
-            if self.mode == ForwarderMode::Bridge {
-                self.bridge_chunk(chunk, out);
-            } else {
-                self.labeled_chunk(chunk, from, out);
-            }
+            self.process_chunk::<BATCH_CHUNK>(chunk, from, out);
         }
+        self.sync_telemetry();
+    }
+
+    /// Forwards one chunk of at most `N` packets. `N` only sizes the
+    /// per-chunk scratch arrays: `process` instantiates the same code with
+    /// `N = 1`, so a lone packet pays for no 32-lane arrays.
+    #[inline]
+    fn process_chunk<const N: usize>(
+        &mut self,
+        chunk: &mut [Packet],
+        from: Addr,
+        out: &mut Vec<Result<Addr>>,
+    ) {
+        if self.mode == ForwarderMode::Bridge {
+            self.bridge_chunk::<N>(chunk, out);
+        } else {
+            self.labeled_chunk::<N>(chunk, from, out);
+        }
+    }
+
+    /// Publishes the current counters into the attached registry, if any.
+    pub(crate) fn sync_telemetry(&mut self) {
         if let Some(t) = &mut self.telemetry {
             t.sync(&self.stats, self.flow_table.len(), self.fib.sync_stats());
         }
     }
 
     /// Batch fast path for [`ForwarderMode::Bridge`]: parse + header work,
-    /// one shared next hop.
-    fn bridge_chunk(&mut self, chunk: &mut [Packet], out: &mut Vec<Result<Addr>>) {
+    /// one shared next hop. `chunk` holds at most `N` packets.
+    pub(crate) fn bridge_chunk<const N: usize>(
+        &mut self,
+        chunk: &mut [Packet],
+        out: &mut Vec<Result<Addr>>,
+    ) {
+        debug_assert!(chunk.len() <= N);
         let rx_before = self.stats.rx;
         self.stats.rx += chunk.len() as u64;
-        let mut seeds = [0u64; BATCH_CHUNK];
+        let mut seeds = [0u64; N];
         for (seed, pkt) in seeds.iter_mut().zip(chunk.iter_mut()) {
             if pkt.tunnel.is_some() {
                 *pkt = pkt.decapsulated();
@@ -896,65 +833,63 @@ impl Forwarder {
             }
         }
         // Every packet of the chunk shares one outcome; record each sampled
-        // ordinal with it, matching the sequential path event-for-event.
-        if let Some(mut t) = self.telemetry.take() {
+        // ordinal with it, event-for-event as if processed one by one.
+        if let Some(t) = &mut self.telemetry {
             while t.next_sample < self.stats.rx {
                 let ordinal = t.next_sample;
                 let idx = out.len() - chunk.len() + (ordinal - rx_before) as usize;
-                let next = match &out[idx] {
-                    Ok(addr) => Ok(*addr),
-                    Err(e) => Err(e),
-                };
-                t.record_hop(self.id, self.mode, ordinal, next);
+                t.record_hop(self.id, self.mode, ordinal, out[idx].as_ref().copied());
             }
-            self.telemetry = Some(t);
         }
     }
 
-    /// Batch path for the label-switched modes: the compiled-FIB two-stage
-    /// pipeline by default, or the interpreted reference loop when
-    /// [`Self::set_compiled_fib`] disabled it. Both are packet-for-packet
-    /// equivalent to [`Self::process`].
-    fn labeled_chunk(&mut self, chunk: &mut [Packet], from: Addr, out: &mut Vec<Result<Addr>>) {
-        if self.fib.enabled {
-            self.labeled_chunk_compiled(chunk, from, out);
-        } else {
-            self.labeled_chunk_interpreted(chunk, from, out);
-        }
-    }
-
-    /// The compiled-FIB batch path, a two-stage software pipeline:
+    /// The labeled-mode batch path, a two-stage software pipeline over the
+    /// compiled FIB:
     ///
     /// - **Stage 1** decapsulates, re-affixes labels, computes every
     ///   packet's flow hash and FIB row index (one interning probe, no
     ///   SipHash), and issues prefetches for the FIB rows and flow-table
     ///   buckets stage 2 will touch — so mixed-label batches resolve rules
-    ///   at full rate instead of thrashing a one-entry cache. The batched
-    ///   header work runs between the stages, giving the prefetches time
-    ///   to land.
+    ///   at full rate. The batched header work runs between the stages,
+    ///   giving the prefetches time to land.
     /// - **Stage 2** probes and forwards in arrival order (order matters:
     ///   the first packet of a flow installs the entries later packets of
     ///   the same batch hit — a stage-1 prefetch of a pre-insert bucket is
     ///   merely a stale hint).
-    fn labeled_chunk_compiled(
+    ///
+    /// `chunk` holds at most `N` packets.
+    fn labeled_chunk<const N: usize>(
         &mut self,
         chunk: &mut [Packet],
         from: Addr,
         out: &mut Vec<Result<Addr>>,
     ) {
-        let rx_before = self.stats.rx;
-        self.stats.rx += chunk.len() as u64;
-        let fib = Arc::clone(self.fib.reader.snapshot());
+        debug_assert!(chunk.len() <= N);
+        let Self {
+            id,
+            site,
+            mode,
+            ref fib,
+            ref mut flow_table,
+            ref mut stats,
+            ref vnf_labels,
+            ref mut work_sink,
+            ref mut telemetry,
+            ..
+        } = *self;
+        let fib: &CompiledFib = &fib.current;
+        let rx_before = stats.rx;
+        stats.rx += chunk.len() as u64;
         let context = match from {
             Addr::Vnf(_) => FlowContext::FromVnf,
             Addr::Forwarder(_) | Addr::Edge(_) => FlowContext::FromWire,
         };
-        let affinity = self.mode == ForwarderMode::Affinity;
+        let affinity = mode == ForwarderMode::Affinity;
 
         // Stage 1.
-        let mut hashes = [0u64; BATCH_CHUNK];
-        let mut seeds = [0u64; BATCH_CHUNK];
-        let mut rows = [FIB_MISS; BATCH_CHUNK];
+        let mut hashes = [0u64; N];
+        let mut seeds = [0u64; N];
+        let mut rows = [FIB_MISS; N];
         let mut n_seeds = 0usize;
         for (i, pkt) in chunk.iter_mut().enumerate() {
             if pkt.tunnel.is_some() {
@@ -962,15 +897,15 @@ impl Forwarder {
             }
             if pkt.labels.is_none() {
                 if let Addr::Vnf(inst) = from {
-                    if let Some(&l) = self.vnf_labels.get(&inst) {
+                    if let Some(&l) = vnf_labels.get(&inst) {
                         *pkt = pkt.with_labels(l);
                     }
                 }
             }
             let h = pkt.key.stable_hash();
             hashes[i] = h;
-            // Label-less packets are dropped before header work (matching
-            // `process`), so they contribute no seed.
+            // Label-less packets are dropped before header work, so they
+            // contribute no seed.
             if let Some(labels) = pkt.labels {
                 seeds[n_seeds] = h ^ u64::from(pkt.size);
                 n_seeds += 1;
@@ -984,24 +919,14 @@ impl Forwarder {
                         key: pkt.key,
                         context,
                     };
-                    self.flow_table.prefetch(&ftk, h);
+                    flow_table.prefetch(&ftk, h);
                 }
             }
         }
-        self.io_work_batch(&seeds[..n_seeds], Self::work_rounds(self.mode));
+        *work_sink ^= Self::io_fold(&seeds[..n_seeds], Self::work_rounds(mode));
 
         // Stage 2.
-        let id = self.id;
-        let mode = self.mode;
         let overlay = mode == ForwarderMode::Overlay;
-        let Self {
-            ref mut flow_table,
-            ref mut stats,
-            ref label_unaware,
-            ref mut telemetry,
-            site,
-            ..
-        } = *self;
         for (i, pkt) in chunk.iter_mut().enumerate() {
             let res: Result<Addr> = match pkt.labels {
                 None => {
@@ -1021,13 +946,13 @@ impl Forwarder {
                             None => Err(no_rule_error(labels)),
                         }
                     } else {
-                        affinity_next_compiled(
+                        affinity_next(
                             flow_table, stats, rules, pkt.key, hash, labels, context, from,
                         )
                     };
                     match res {
                         Ok(next) => {
-                            finish_output(label_unaware, site, pkt, labels, next);
+                            finish_output(vnf_labels, site, pkt, labels, next);
                             stats.tx += 1;
                             Ok(next)
                         }
@@ -1039,295 +964,32 @@ impl Forwarder {
                 }
             };
             if let Some(t) = telemetry.as_mut() {
-                let ordinal = rx_before + i as u64;
-                if ordinal == t.next_sample {
-                    let next = match &res {
-                        Ok(addr) => Ok(*addr),
-                        Err(e) => Err(e),
-                    };
-                    t.record_hop(id, mode, ordinal, next);
-                }
+                t.sample(id, mode, rx_before + i as u64, res.as_ref().copied());
             }
             out.push(res);
         }
     }
-
-    /// The interpreted batch path (the pre-FIB reference loop): parse +
-    /// hash every packet once, run interleaved header work for the labeled
-    /// ones, then resolve next hops in arrival order against the rule map,
-    /// with a one-entry rule cache that pays off only when a whole batch
-    /// shares one label pair. Kept as the measured baseline and the
-    /// reference implementation the compiled path is tested against.
-    fn labeled_chunk_interpreted(
-        &mut self,
-        chunk: &mut [Packet],
-        from: Addr,
-        out: &mut Vec<Result<Addr>>,
-    ) {
-        let rx_before = self.stats.rx;
-        self.stats.rx += chunk.len() as u64;
-        let mut hashes = [0u64; BATCH_CHUNK];
-        let mut seeds = [0u64; BATCH_CHUNK];
-        let mut n_seeds = 0usize;
-        for (i, pkt) in chunk.iter_mut().enumerate() {
-            if pkt.tunnel.is_some() {
-                *pkt = pkt.decapsulated();
-            }
-            if pkt.labels.is_none() {
-                if let Addr::Vnf(inst) = from {
-                    if let Some(&l) = self.vnf_labels.get(&inst) {
-                        *pkt = pkt.with_labels(l);
-                    }
-                }
-            }
-            let h = pkt.key.stable_hash();
-            hashes[i] = h;
-            // Label-less packets are dropped before header work (matching
-            // `process`), so they contribute no seed.
-            if pkt.labels.is_some() {
-                seeds[n_seeds] = h ^ u64::from(pkt.size);
-                n_seeds += 1;
-            }
-        }
-        self.io_work_batch(&seeds[..n_seeds], Self::work_rounds(self.mode));
-
-        let context = match from {
-            Addr::Vnf(_) => FlowContext::FromVnf,
-            Addr::Forwarder(_) | Addr::Edge(_) => FlowContext::FromWire,
-        };
-        let id = self.id;
-        let mode = self.mode;
-        let overlay = mode == ForwarderMode::Overlay;
-        let Self {
-            ref rules,
-            ref mut flow_table,
-            ref mut stats,
-            ref label_unaware,
-            ref mut telemetry,
-            site,
-            ..
-        } = *self;
-        // One-entry rule cache: packets of a batch overwhelmingly share one
-        // label pair, so the HashMap lookup happens once per batch, not once
-        // per packet.
-        let mut cached: Option<(LabelPair, &RuleSet)> = None;
-        for (i, pkt) in chunk.iter_mut().enumerate() {
-            let res: Result<Addr> = match pkt.labels {
-                None => {
-                    stats.drops += 1;
-                    Err(Error::forwarding("packet has no labels"))
-                }
-                Some(labels) => {
-                    let hash = hashes[i];
-                    let res = if overlay {
-                        stats.flow_misses += 1;
-                        let rule = match cached {
-                            Some((l, r)) if l == labels => Ok(r),
-                            _ => match rules_for_in(rules, labels) {
-                                Ok(r) => {
-                                    cached = Some((labels, r));
-                                    Ok(r)
-                                }
-                                Err(e) => Err(e),
-                            },
-                        };
-                        rule.map(|r| match context {
-                            FlowContext::FromWire => r.to_vnf.select(hash),
-                            FlowContext::FromVnf => r.to_next.select(hash),
-                        })
-                    } else {
-                        affinity_next_in(
-                            flow_table, stats, rules, pkt.key, hash, labels, context, from,
-                        )
-                    };
-                    match res {
-                        Ok(next) => {
-                            finish_output(label_unaware, site, pkt, labels, next);
-                            stats.tx += 1;
-                            Ok(next)
-                        }
-                        Err(e) => {
-                            stats.drops += 1;
-                            Err(e)
-                        }
-                    }
-                }
-            };
-            if let Some(t) = telemetry.as_mut() {
-                let ordinal = rx_before + i as u64;
-                if ordinal == t.next_sample {
-                    let next = match &res {
-                        Ok(addr) => Ok(*addr),
-                        Err(e) => Err(e),
-                    };
-                    t.record_hop(id, mode, ordinal, next);
-                }
-            }
-            out.push(res);
-        }
-    }
-
-    fn process_inner(&mut self, mut pkt: Packet, from: Addr) -> Result<(Packet, Addr)> {
-        // Decapsulate wide-area tunnel, if any (all modes parse headers).
-        if pkt.tunnel.is_some() {
-            pkt = pkt.decapsulated();
-        }
-
-        if self.mode == ForwarderMode::Bridge {
-            let hash = pkt.key.stable_hash();
-            self.io_work(hash ^ u64::from(pkt.size), Self::BASE_WORK_ROUNDS);
-            let next = self
-                .bridge_next
-                .ok_or_else(|| Error::forwarding("bridge has no next hop configured"))?;
-            return Ok((pkt, next));
-        }
-
-        // Re-affix labels for packets returning from label-unaware VNFs.
-        if pkt.labels.is_none() {
-            if let Addr::Vnf(inst) = from {
-                if let Some(&labels) = self.vnf_labels.get(&inst) {
-                    pkt = pkt.with_labels(labels);
-                }
-            }
-        }
-        let labels = pkt
-            .labels
-            .ok_or_else(|| Error::forwarding("packet has no labels"))?;
-
-        // The flow hash is computed exactly once per packet and threaded
-        // through header work, flow-table lookup, and weighted selection.
-        let hash = pkt.key.stable_hash();
-
-        // Base forwarding plus label + tunnel processing cost; the
-        // affinity pipeline adds its learn/resubmit stage on top.
-        self.io_work(hash ^ u64::from(pkt.size), Self::work_rounds(self.mode));
-
-        let context = match from {
-            Addr::Vnf(_) => FlowContext::FromVnf,
-            Addr::Forwarder(_) | Addr::Edge(_) => FlowContext::FromWire,
-        };
-
-        let next = match self.mode {
-            ForwarderMode::Bridge => unreachable!("handled above"),
-            ForwarderMode::Overlay => {
-                // Stateless weighted selection per packet.
-                self.stats.flow_misses += 1;
-                let rules = self.rules_for(labels)?;
-                match context {
-                    FlowContext::FromWire => rules.to_vnf.select(hash),
-                    FlowContext::FromVnf => rules.to_next.select(hash),
-                }
-            }
-            ForwarderMode::Affinity => {
-                let Self {
-                    ref rules,
-                    ref mut flow_table,
-                    ref mut stats,
-                    ..
-                } = *self;
-                affinity_next_in(flow_table, stats, rules, pkt.key, hash, labels, context, from)?
-            }
-        };
-
-        finish_output(&self.label_unaware, self.site, &mut pkt, labels, next);
-        Ok((pkt, next))
-    }
-
-    /// Rule lookup: exact label pair first, then any rule for the same
-    /// chain label (reverse-direction packets carry the opposite egress
-    /// label but belong to the same chain).
-    fn rules_for(&self, labels: LabelPair) -> Result<&RuleSet> {
-        rules_for_in(&self.rules, labels)
-    }
 }
 
-/// Epoch-versioned rule sets for one label pair (DESIGN.md §10): each
-/// installed epoch keeps its own [`RuleSet`], sorted ascending, and the
-/// highest epoch is the active one. During a make-before-break update both
-/// the old and the new epoch are present — new flows select on the active
-/// epoch while pinned flows drain via the flow table — until the control
-/// plane retires the old tag.
-#[derive(Debug, Clone, Default)]
-struct EpochRules {
-    /// `(epoch, rules)` pairs, ascending by epoch; the last is active.
-    sets: Vec<(u64, RuleSet)>,
-}
-
-impl EpochRules {
-    fn active(&self) -> Option<&RuleSet> {
-        self.sets.last().map(|(_, r)| r)
-    }
-
-    fn active_epoch(&self) -> Option<u64> {
-        self.sets.last().map(|(ep, _)| *ep)
-    }
-
-    fn install(&mut self, epoch: u64, rules: RuleSet) {
-        match self.sets.binary_search_by_key(&epoch, |(ep, _)| *ep) {
-            Ok(i) => self.sets[i].1 = rules,
-            Err(i) => self.sets.insert(i, (epoch, rules)),
-        }
-    }
-
-    fn retire(&mut self, epoch: u64) -> bool {
-        match self.sets.binary_search_by_key(&epoch, |(ep, _)| *ep) {
-            Ok(i) => {
-                self.sets.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-}
-
-/// The drop-site error for an unmatched label pair. One constructor shared
-/// by the interpreted and compiled paths so the strings cannot drift; the
-/// hot side passes `Option`s around and only formats here, on the miss.
+/// The drop-site error for an unmatched label pair. The hot side passes
+/// `Option`s around and only formats here, on the miss.
 #[cold]
-fn no_rule_error(labels: LabelPair) -> Error {
+pub(crate) fn no_rule_error(labels: LabelPair) -> Error {
     Error::forwarding(format!("no rule for labels {labels}"))
 }
 
-/// [`Forwarder::rules_for`] over a borrowed rule map, so batch loops can
-/// hold the rule cache while mutating the flow table and counters. Always
-/// resolves to the label pair's *active* epoch.
-fn rules_for_in(rules: &HashMap<LabelPair, EpochRules>, labels: LabelPair) -> Result<&RuleSet> {
-    lookup_rules_in(rules, labels).ok_or_else(|| no_rule_error(labels))
-}
-
-/// Borrowed-form rule lookup: exact label pair first, then the chain's
-/// *canonical* (smallest) label pair — reverse-direction packets carry the
-/// opposite egress label but belong to the same chain. Taking the smallest
-/// pair (not the rule map's iteration order) makes the fallback
-/// deterministic, which the compiled FIB mirrors bit-for-bit.
-fn lookup_rules_in(rules: &HashMap<LabelPair, EpochRules>, labels: LabelPair) -> Option<&RuleSet> {
-    if let Some(r) = rules.get(&labels).and_then(EpochRules::active) {
-        return Some(r);
-    }
-    rules
-        .iter()
-        .filter(|(l, _)| l.chain() == labels.chain())
-        .min_by_key(|(l, _)| **l)
-        .and_then(|(_, e)| e.active())
-}
-
-/// Output rewrite shared by the single-packet and batch paths: strip labels
-/// when handing to a label-unaware VNF; encapsulate when crossing to another
-/// forwarder.
+/// Output rewrite: strip labels when handing to a label-unaware VNF;
+/// encapsulate when crossing to another forwarder.
 #[inline]
-fn finish_output(
-    label_unaware: &HashMap<InstanceId, ()>,
+pub(crate) fn finish_output(
+    vnf_labels: &HashMap<InstanceId, LabelPair>,
     site: SiteId,
     pkt: &mut Packet,
     labels: LabelPair,
     next: Addr,
 ) {
     match next {
-        Addr::Vnf(inst) if label_unaware.contains_key(&inst) => {
+        Addr::Vnf(inst) if vnf_labels.contains_key(&inst) => {
             *pkt = pkt.without_labels();
         }
         Addr::Forwarder(_) => {
@@ -1342,40 +1004,13 @@ fn finish_output(
 }
 
 /// The affinity-mode next hop: flow-table hit, or weighted selection plus
-/// entry installation on the first packet (Figure 6). Takes the forwarder's
-/// fields split apart so batch loops can keep disjoint borrows; `hash` is
-/// the packet's precomputed [`FlowKey::stable_hash`].
+/// entry installation on the first packet (Figure 6). `rules` is the FIB
+/// row the batch path resolved in stage 1 (`None` = no row, the
+/// lookup-miss drop). Takes the forwarder's fields split apart so batch
+/// loops can keep disjoint borrows; `hash` is the packet's precomputed
+/// [`FlowKey::stable_hash`].
 #[allow(clippy::too_many_arguments)]
-fn affinity_next_in(
-    flow_table: &mut FlowTable,
-    stats: &mut ForwarderStats,
-    rules: &HashMap<LabelPair, EpochRules>,
-    key: FlowKey,
-    hash: u64,
-    labels: LabelPair,
-    context: FlowContext,
-    from: Addr,
-) -> Result<Addr> {
-    let ftk = FlowTableKey {
-        chain: labels.chain(),
-        key,
-        context,
-    };
-    if let Some(next) = flow_table.get_hashed(&ftk, hash) {
-        stats.flow_hits += 1;
-        return Ok(next);
-    }
-    stats.flow_misses += 1;
-    let rules = lookup_rules_in(rules, labels).ok_or_else(|| no_rule_error(labels))?;
-    affinity_pin(flow_table, rules, ftk, key, hash, context, from)
-}
-
-/// [`affinity_next_in`] with the rule lookup already resolved against a
-/// compiled FIB row (`None` = no row, the lookup-miss drop). The compiled
-/// batch path resolves rows in stage 1; the flow-table probe, selection,
-/// and pinning here are byte-identical to the interpreted path.
-#[allow(clippy::too_many_arguments)]
-fn affinity_next_compiled(
+fn affinity_next(
     flow_table: &mut FlowTable,
     stats: &mut ForwarderStats,
     rules: Option<&RuleSet>,
@@ -1399,10 +1034,9 @@ fn affinity_next_compiled(
     affinity_pin(flow_table, rules, ftk, key, hash, context, from)
 }
 
-/// The affinity miss path's selection + pinning, shared by the interpreted
-/// and compiled lookups: weighted selection on the flow hash, then the
-/// forward and reverse flow-table entries.
-fn affinity_pin(
+/// The affinity miss path's selection + pinning: weighted selection on the
+/// flow hash, then the forward and reverse flow-table entries.
+pub(crate) fn affinity_pin(
     flow_table: &mut FlowTable,
     rules: &RuleSet,
     ftk: FlowTableKey,
@@ -1470,6 +1104,8 @@ fn affinity_pin(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fib::FibRow;
+    use crate::reference::ReferenceForwarder;
     use sb_types::{ChainLabel, EdgeInstanceId, EgressLabel, FlowKey};
 
     fn labels() -> LabelPair {
@@ -1853,43 +1489,56 @@ mod tests {
         assert_eq!(fresh_pin, first);
     }
 
-    /// Drives the same packet sequence through `process` one-by-one and
-    /// through `process_batch` — once on the compiled-FIB pipeline and
-    /// once on the interpreted reference loop — asserting identical next
-    /// hops, errors, counters, flow-table population, `work_sink`, and
-    /// output packets on both. All forwarders run with telemetry attached
-    /// (aggressive 1-in-3 sampling): registry snapshots and recorded trace
-    /// events must also be identical, so instrumentation cannot diverge
-    /// the paths.
+    /// Drives the same packet sequence through the interpreted sequential
+    /// loop ([`ReferenceForwarder::process`], the oracle) and through three
+    /// legs: the compiled per-packet `process`, the compiled
+    /// `process_batch`, and the interpreted reference batch loop. Every leg
+    /// must match the oracle's next hops, errors, counters, flow-table
+    /// population, `work_sink`, and output packets. All forwarders run
+    /// with telemetry attached (aggressive 1-in-3 sampling): registry
+    /// snapshots and recorded trace events must also be identical, so
+    /// instrumentation cannot diverge the paths.
     fn assert_batch_equivalent(
         make: impl Fn() -> Forwarder,
         pkts: &[Packet],
         from: Addr,
     ) {
         let seq_hub = sb_telemetry::Telemetry::new();
-        let mut seq_fwd = make();
-        seq_fwd.attach_telemetry(&seq_hub, 3);
+        let mut oracle = ReferenceForwarder::from_forwarder(make());
+        oracle.attach_telemetry(&seq_hub, 3);
         let seq: Vec<Result<(Packet, Addr)>> =
-            pkts.iter().map(|&p| seq_fwd.process(p, from)).collect();
+            pkts.iter().map(|&p| oracle.process(p, from)).collect();
+        let seq_fwd = oracle.forwarder();
 
-        for compiled in [true, false] {
-            let path = if compiled { "compiled" } else { "interpreted" };
-            let batch_hub = sb_telemetry::Telemetry::new();
-            let mut batch_fwd = make();
-            batch_fwd.set_compiled_fib(compiled);
-            batch_fwd.attach_telemetry(&batch_hub, 3);
+        for path in ["compiled per-packet", "compiled batch", "interpreted batch"] {
+            let leg_hub = sb_telemetry::Telemetry::new();
             let mut batch_pkts = pkts.to_vec();
-            let batch = batch_fwd.process_batch(&mut batch_pkts, from);
+            let (leg, leg_fwd): (Vec<Result<(Packet, Addr)>>, Forwarder) = match path {
+                "compiled per-packet" => {
+                    let mut fwd = make();
+                    fwd.attach_telemetry(&leg_hub, 3);
+                    (pkts.iter().map(|&p| fwd.process(p, from)).collect(), fwd)
+                }
+                "compiled batch" => {
+                    let mut fwd = make();
+                    fwd.attach_telemetry(&leg_hub, 3);
+                    let out = fwd.process_batch(&mut batch_pkts, from);
+                    (zip_batch(out, &batch_pkts), fwd)
+                }
+                _ => {
+                    let mut fwd = ReferenceForwarder::from_forwarder(make());
+                    fwd.attach_telemetry(&leg_hub, 3);
+                    let out = fwd.process_batch(&mut batch_pkts, from);
+                    (zip_batch(out, &batch_pkts), fwd.forwarder().clone())
+                }
+            };
 
-            assert_eq!(seq.len(), batch.len());
-            for (i, (s, b)) in seq.iter().zip(&batch).enumerate() {
+            assert_eq!(seq.len(), leg.len());
+            for (i, (s, b)) in seq.iter().zip(&leg).enumerate() {
                 match (s, b) {
-                    (Ok((sp, sn)), Ok(bn)) => {
+                    (Ok((sp, sn)), Ok((bp, bn))) => {
                         assert_eq!(sn, bn, "packet {i} ({path}): next hop");
-                        assert_eq!(
-                            *sp, batch_pkts[i],
-                            "packet {i} ({path}): rewritten packet"
-                        );
+                        assert_eq!(sp, bp, "packet {i} ({path}): rewritten packet");
                     }
                     (Err(se), Err(be)) => {
                         assert_eq!(
@@ -1901,26 +1550,35 @@ mod tests {
                     _ => panic!("packet {i} ({path}): {s:?} vs {b:?}"),
                 }
             }
-            assert_eq!(seq_fwd.stats(), batch_fwd.stats(), "{path}: stats");
+            assert_eq!(seq_fwd.stats(), leg_fwd.stats(), "{path}: stats");
             assert_eq!(
                 seq_fwd.flow_entries(),
-                batch_fwd.flow_entries(),
+                leg_fwd.flow_entries(),
                 "{path}: flow entries"
             );
-            assert_eq!(seq_fwd.work_sink, batch_fwd.work_sink, "{path}: work sink");
+            assert_eq!(seq_fwd.work_sink, leg_fwd.work_sink, "{path}: work sink");
             // Identical registry state (counters, mode drops, occupancy
             // gauge, FIB gauges) and an identical sampled event stream.
             assert_eq!(
                 seq_hub.registry.snapshot(),
-                batch_hub.registry.snapshot(),
-                "registry snapshots diverge between sequential and {path} batch"
+                leg_hub.registry.snapshot(),
+                "registry snapshots diverge between the oracle and {path}"
             );
             assert_eq!(
                 seq_hub.tracer.snapshot(),
-                batch_hub.tracer.snapshot(),
-                "sampled trace events diverge between sequential and {path} batch"
+                leg_hub.tracer.snapshot(),
+                "sampled trace events diverge between the oracle and {path}"
             );
         }
+    }
+
+    /// Pairs batch results with the rewritten packets, in the shape
+    /// `process` returns.
+    fn zip_batch(out: Vec<Result<Addr>>, pkts: &[Packet]) -> Vec<Result<(Packet, Addr)>> {
+        out.into_iter()
+            .zip(pkts)
+            .map(|(r, &p)| r.map(|next| (p, next)))
+            .collect()
     }
 
     #[test]
@@ -2068,18 +1726,127 @@ mod tests {
         assert_batch_equivalent(make, &pkts, edge());
     }
 
-    /// The compiled-FIB batch pipeline is the default on every
-    /// construction path — `new` and artifact boot alike; the interpreted
-    /// loop is strictly an opt-in reference.
+    /// Every construction path — `new` and artifact boot alike — serves
+    /// packets from a published compiled FIB, the only rule store.
     #[test]
     fn compiled_fib_is_the_default_path() {
-        let f = affinity_forwarder();
-        assert!(f.compiled_fib(), "Forwarder::new must default to compiled");
-        let booted = Forwarder::from_artifact(f.site, &f.export_artifact());
-        assert!(booted.compiled_fib(), "from_artifact must default to compiled");
-        let mut off = affinity_forwarder();
-        off.set_compiled_fib(false);
-        assert!(!off.compiled_fib(), "opt-out must stick");
+        let mut f = affinity_forwarder();
+        assert_eq!(f.fib().len(), 1, "Forwarder::new must publish to the FIB");
+        let mut booted = Forwarder::from_artifact(f.site, &f.export_artifact());
+        assert_eq!(
+            booted.fib().rows(),
+            f.fib().rows(),
+            "from_artifact must publish the artifact rows"
+        );
+        let pkt = Packet::labeled(labels(), key(1), 64);
+        assert_eq!(
+            f.process(pkt, edge()).unwrap(),
+            booted.process(pkt, edge()).unwrap()
+        );
+    }
+
+    fn rules_to(inst: u64) -> RuleSet {
+        RuleSet {
+            to_vnf: WeightedChoice::single(vnf(inst)),
+            to_next: WeightedChoice::single(fwd_addr(9)),
+            to_prev: WeightedChoice::single(edge()),
+        }
+    }
+
+    /// A publish that adds or drops a label pair rebuilds the tables and is
+    /// counted under rebuilds; only an in-place row change is a patch.
+    #[test]
+    fn fib_counts_inserts_as_rebuilds_and_replacements_as_patches() {
+        let mut f = Forwarder::new(ForwarderId::new(1), SiteId::new(0), ForwarderMode::Affinity);
+        f.install_rules(labels(), rules_to(1));
+        assert_eq!(f.fib_recompilations(), (1, 0), "new pair: rebuild");
+        f.install_rules(labels(), rules_to(2));
+        assert_eq!(f.fib_recompilations(), (1, 1), "existing pair: patch");
+        f.install_rules_epoch(labels(), rules_to(3), 4);
+        assert_eq!(f.fib_recompilations(), (1, 2), "new epoch of a pair: patch");
+        assert!(f.retire_epoch(labels(), 4));
+        assert_eq!(f.fib_recompilations(), (1, 3), "pair survives: patch");
+        assert!(f.retire_epoch(labels(), 0));
+        assert_eq!(f.fib_recompilations(), (2, 3), "pair gone: rebuild");
+    }
+
+    /// How far each mutator advances the FIB generation. The `.sba` header
+    /// encodes the generation, so these counts are part of the artifact
+    /// bytes.
+    #[test]
+    fn fib_generation_advances_once_per_publish() {
+        let other = LabelPair::new(ChainLabel::new(2), EgressLabel::new(1));
+        fn step(f: &mut Forwarder, what: &str, op: &dyn Fn(&mut Forwarder)) -> (u64, String) {
+            let before = f.fib_generation();
+            op(f);
+            (f.fib_generation() - before, what.to_string())
+        }
+        let mut f = Forwarder::new(ForwarderId::new(1), SiteId::new(0), ForwarderMode::Affinity);
+        let steps = [
+            step(&mut f, "install new pair", &|f| {
+                f.install_rules(labels(), rules_to(1))
+            }),
+            step(&mut f, "install existing pair", &|f| {
+                f.install_rules(labels(), rules_to(2))
+            }),
+            step(&mut f, "install epoch", &|f| {
+                f.install_rules_epoch(labels(), rules_to(3), 5)
+            }),
+            step(&mut f, "install other", &|f| {
+                f.install_rules_epoch(other, rules_to(4), 5)
+            }),
+            step(&mut f, "retire", &|f| assert!(f.retire_epoch(labels(), 0))),
+            step(&mut f, "retire missing", &|f| {
+                assert!(!f.retire_epoch(labels(), 0))
+            }),
+            step(&mut f, "fail", &|f| {
+                let _ = f.fail_vnf_instance(InstanceId::new(3));
+            }),
+            step(&mut f, "register", &|f| {
+                f.register_label_unaware_vnf(InstanceId::new(3), labels());
+            }),
+            step(&mut f, "remove", &|f| {
+                assert!(f.remove_rules(other).is_some())
+            }),
+            step(&mut f, "remove missing", &|f| {
+                assert!(f.remove_rules(other).is_none())
+            }),
+        ];
+        let counts: Vec<u64> = steps.iter().map(|(n, _)| *n).collect();
+        assert_eq!(counts, [1, 1, 1, 1, 1, 0, 1, 0, 1, 0], "{steps:?}");
+
+        // Artifact applies: one publish for a Full; for a Patch, one per
+        // row plus one per removal of an installed pair.
+        let mut art = f.export_artifact();
+        art.rows.push(FibRow {
+            labels: other,
+            active_epoch: 5,
+            epochs: vec![5],
+            rules: rules_to(6),
+        });
+        let before = f.fib_generation();
+        f.apply_artifact(&art, ArtifactKind::Full);
+        assert_eq!(f.fib_generation() - before, 1, "full apply");
+        let third = LabelPair::new(ChainLabel::new(3), EgressLabel::new(1));
+        let mut patch = f.export_artifact();
+        patch.rows.retain(|r| r.labels == labels());
+        patch.rows.push(FibRow {
+            labels: third,
+            active_epoch: 1,
+            epochs: vec![1],
+            rules: rules_to(7),
+        });
+        patch.removed = vec![
+            other,
+            LabelPair::new(ChainLabel::new(9), EgressLabel::new(9)),
+        ];
+        let before = f.fib_generation();
+        f.apply_artifact(&patch, ArtifactKind::Patch);
+        assert_eq!(
+            f.fib_generation() - before,
+            3,
+            "patch: 2 rows + 1 installed removal"
+        );
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! - [`Forwarder`]: the proxy itself, with the three processing modes of
 //!   Figure 7 ([`ForwarderMode::Bridge`] / [`Overlay`](ForwarderMode::Overlay)
 //!   / [`Affinity`](ForwarderMode::Affinity));
-//! - [`fib`]: the compiled FIB — dense label-interned rule rows published
-//!   RCU-style per generation, feeding the forwarder's prefetch-pipelined
-//!   batch path (DESIGN.md §14);
+//! - [`fib`]: the compiled FIB — the forwarder's only rule store: dense
+//!   label-interned rule rows published as immutable generations, feeding
+//!   its prefetch-pipelined packet path (DESIGN.md §14);
 //! - [`pktgen::PacketGenerator`]: the MoonGen stand-in;
 //! - [`ring`]: lock-free SPSC rings connecting the sharded runner's
 //!   pktgen → forwarder → sink stages;
@@ -29,10 +29,12 @@
 //!   forwarder shards (DESIGN.md §11);
 //! - [`runner`]: the multi-core scale-out harness behind Figure 8, both
 //!   isolated ([`runner::measure_isolated`]) and contended
-//!   ([`runner::measure_sharded`]);
-//! - [`dht`]: the replicated DHT flow table the paper defers to future
-//!   work (Section 5.3), giving a forwarder group affinity that survives
-//!   forwarder churn.
+//!   ([`runner::measure_sharded`]).
+//!
+//! The `reference` Cargo feature adds `reference`: the interpreted
+//! `HashMap` rule store and packet loops the compiled FIB replaced, kept
+//! as the oracle of the equivalence tests and the baseline of the
+//! mixed-label bench. Only tests and benches enable it.
 //!
 //! # Examples
 //!
@@ -66,19 +68,20 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod dht;
 pub mod fib;
 mod flow_table;
 mod forwarder;
 mod loadbalancer;
 mod packet;
 pub mod pktgen;
+#[cfg(feature = "reference")]
+pub mod reference;
 pub mod ring;
 pub mod runner;
 pub mod shard;
 
 pub use artifact::{ArtifactKind, ForwarderArtifact, SiteArtifact};
-pub use fib::{CompiledFib, FibCell, FibReader, FibRow};
+pub use fib::{CompiledFib, FibRow};
 pub use flow_table::{FlowContext, FlowTable, FlowTableKey};
 pub use forwarder::{Forwarder, ForwarderMode, ForwarderStats, RuleSet};
 pub use loadbalancer::WeightedChoice;

@@ -62,11 +62,6 @@ pub struct ScaleoutConfig {
     /// ([`PacketGenerator::mixed`]) so every batch carries a realistic
     /// fleet mix of label pairs.
     pub chains: usize,
-    /// Whether the forwarders run the compiled-FIB batch pipeline
-    /// (default) or the interpreted reference loop
-    /// ([`Forwarder::set_compiled_fib`]). The interpreted setting is the
-    /// baseline for the mixed-label bench comparison.
-    pub compiled_fib: bool,
     /// Whether mixed-label traffic is bidirectional
     /// ([`PacketGenerator::mixed_bidirectional`]): every second flow of a
     /// chain's block carries the chain's reverse label pair, which is never
@@ -107,7 +102,6 @@ impl Default for ScaleoutConfig {
             batch_size: 256,
             sample_every: DEFAULT_SAMPLE_EVERY,
             chains: 1,
-            compiled_fib: true,
             bidirectional: false,
         }
     }
@@ -174,7 +168,6 @@ fn build_forwarder(thread: usize, cfg: &ScaleoutConfig) -> (Forwarder, Vec<Label
         cfg.mode,
         4 * cfg.flows_per_instance + 64,
     );
-    f.set_compiled_fib(cfg.compiled_fib);
     let vnf = Addr::Vnf(InstanceId::new(thread as u64));
     let mut labels = Vec::with_capacity(chains);
     for c in 0..chains {
@@ -209,12 +202,43 @@ fn build_generator(labels: &[LabelPair], cfg: &ScaleoutConfig, seed: u64) -> Pac
     }
 }
 
+/// What a measurement worker drives: a [`Forwarder`], or a wrapper around
+/// the one [`build_forwarder`] made (see [`measure_isolated_as`]).
+pub(crate) trait Driven {
+    /// One packet through the per-packet entry point, result discarded.
+    fn process_one(&mut self, pkt: Packet, from: Addr);
+    /// One batch through the batch entry point.
+    fn process_batch_into(&mut self, pkts: &mut [Packet], from: Addr, out: &mut Vec<Result<Addr>>);
+    /// See [`Forwarder::attach_telemetry`].
+    fn attach_telemetry(&mut self, hub: &Telemetry, sample_every: u64);
+    /// See [`Forwarder::flow_entries`].
+    fn flow_entries(&self) -> usize;
+}
+
+impl Driven for Forwarder {
+    fn process_one(&mut self, pkt: Packet, from: Addr) {
+        let _ = self.process(pkt, from);
+    }
+
+    fn process_batch_into(&mut self, pkts: &mut [Packet], from: Addr, out: &mut Vec<Result<Addr>>) {
+        Forwarder::process_batch_into(self, pkts, from, out);
+    }
+
+    fn attach_telemetry(&mut self, hub: &Telemetry, sample_every: u64) {
+        Forwarder::attach_telemetry(self, hub, sample_every);
+    }
+
+    fn flow_entries(&self) -> usize {
+        Forwarder::flow_entries(self)
+    }
+}
+
 /// One worker's traffic drive: refills the staging buffer from the
 /// generator and pushes it through the forwarder. Returns the number of
 /// packets driven.
 #[inline]
 fn drive(
-    fwd: &mut Forwarder,
+    fwd: &mut impl Driven,
     gen: &mut PacketGenerator,
     edge: Addr,
     pkts: &mut [Packet],
@@ -223,7 +247,7 @@ fn drive(
     if pkts.len() == 1 {
         // Per-packet path (bench sweeps use batch_size = 1 as the
         // no-amortization reference point).
-        let _ = fwd.process(gen.next_packet(), edge);
+        fwd.process_one(gen.next_packet(), edge);
         return 1;
     }
     for p in pkts.iter_mut() {
@@ -415,6 +439,16 @@ pub fn measure_isolated_with_hub(
     config: &ScaleoutConfig,
     hub: Option<&Telemetry>,
 ) -> ScaleoutResult {
+    measure_isolated_as(config, hub, |f| f)
+}
+
+/// [`measure_isolated_with_hub`] driving `wrap(forwarder)` instead of each
+/// forwarder [`build_forwarder`] makes.
+pub(crate) fn measure_isolated_as<W: Driven>(
+    config: &ScaleoutConfig,
+    hub: Option<&Telemetry>,
+    wrap: impl Fn(Forwarder) -> W,
+) -> ScaleoutResult {
     assert!(config.instances > 0, "need at least one instance");
     let mut packets = 0u64;
     let mut flow_entries = 0usize;
@@ -425,7 +459,7 @@ pub fn measure_isolated_with_hub(
             instances: 1,
             ..config.clone()
         };
-        let r = run_worker(t, &one, hub);
+        let r = run_worker(t, &one, hub, &wrap);
         packets += r.0;
         flow_entries += r.2;
         pps += r.1;
@@ -441,12 +475,14 @@ pub fn measure_isolated_with_hub(
 
 /// One instance's generate→process loop for a fixed wall-clock window.
 /// Returns `(packets, pps, flow_entries, latency)`.
-fn run_worker(
+fn run_worker<W: Driven>(
     thread: usize,
     cfg: &ScaleoutConfig,
     hub: Option<&Telemetry>,
+    wrap: &impl Fn(Forwarder) -> W,
 ) -> (u64, f64, usize, Histogram) {
-    let (mut fwd, labels) = build_forwarder(thread, cfg);
+    let (fwd, labels) = build_forwarder(thread, cfg);
+    let mut fwd = wrap(fwd);
     if let (Some(h), true) = (hub, cfg.sample_every > 0) {
         fwd.attach_telemetry(h, cfg.sample_every);
     }
@@ -1048,20 +1084,17 @@ mod tests {
 
     #[test]
     fn mixed_chain_measurement_forwards_on_both_paths() {
-        for compiled in [true, false] {
-            let r = measure_isolated(&ScaleoutConfig {
-                flows_per_instance: 512,
-                chains: 8,
-                compiled_fib: compiled,
-                duration: Duration::from_millis(80),
-                warmup: Duration::from_millis(20),
-                ..ScaleoutConfig::default()
-            });
-            assert!(r.packets > 0, "compiled={compiled}");
-            assert!(r.throughput.value() > 0.1, "compiled={compiled}: {}", r.throughput);
-            // All flows of all chains install entries (≤ 3 each).
-            assert!(r.flow_entries >= 512, "compiled={compiled}: {}", r.flow_entries);
-        }
+        let r = measure_isolated(&ScaleoutConfig {
+            flows_per_instance: 512,
+            chains: 8,
+            duration: Duration::from_millis(80),
+            warmup: Duration::from_millis(20),
+            ..ScaleoutConfig::default()
+        });
+        assert!(r.packets > 0);
+        assert!(r.throughput.value() > 0.1, "{}", r.throughput);
+        // All flows of all chains install entries (≤ 3 each).
+        assert!(r.flow_entries >= 512, "{}", r.flow_entries);
     }
 
     #[test]

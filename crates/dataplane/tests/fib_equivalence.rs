@@ -1,20 +1,24 @@
 //! Compiled-FIB ≡ interpreted equivalence (DESIGN.md §14).
 //!
-//! The compiled batch pipeline must be *bit-identical* to the interpreted
-//! reference: same next hops, same rewritten packets, same error strings,
-//! same per-flow pins, same LB choices, same drop/hit/miss counters, same
-//! synthetic header work, and the same sampled telemetry — under arbitrary
-//! interleavings of `install_rules_epoch` / `retire_epoch` /
-//! `fail_vnf_instance` and packet batches in both directions.
+//! The compiled packet path must be *bit-identical* to the interpreted
+//! reference (`sb_dataplane::reference`): same next hops, same rewritten
+//! packets, same error strings, same per-flow pins, same LB choices, same
+//! drop/hit/miss counters, same synthetic header work, and the same
+//! sampled telemetry — under arbitrary interleavings of
+//! `install_rules_epoch` / `retire_epoch` / `remove_rules` /
+//! `fail_vnf_instance` / `register_label_unaware_vnf` / `apply_artifact`
+//! and packet batches in both directions.
 //!
-//! Three forwarders replay the identical script: a per-packet `process`
-//! oracle, the compiled batch path, and the interpreted batch path. Any
-//! divergence anywhere is a bug in the compiler, the RCU publish, or the
-//! two-stage pipeline. CI runs this as the named step
+//! Four forwarders replay the identical script: the interpreted per-packet
+//! `process` oracle, the compiled batch path, the compiled per-packet
+//! path, and the interpreted batch path. Any divergence anywhere is a bug
+//! in the compiler, the generation publish, or the two-stage pipeline. CI runs
+//! this as the named step
 //! `cargo test --release -p sb-dataplane --test fib_equivalence`.
 
 use proptest::prelude::*;
-use sb_dataplane::{Addr, Forwarder, ForwarderMode, Packet, RuleSet, WeightedChoice};
+use sb_dataplane::reference::ReferenceForwarder;
+use sb_dataplane::{Addr, ArtifactKind, Forwarder, ForwarderMode, Packet, RuleSet, WeightedChoice};
 use sb_telemetry::{MetricsSnapshot, Telemetry, WindowConfig, WindowRoller};
 use sb_types::{
     ChainLabel, EdgeInstanceId, EgressLabel, FlowKey, ForwarderId, InstanceId, LabelPair, SiteId,
@@ -46,6 +50,13 @@ enum Op {
     },
     /// `retire_epoch(pair, epoch)`.
     Retire { chain: u8, egress: u8, epoch: u8 },
+    /// `remove_rules(pair)`.
+    Remove { chain: u8, egress: u8 },
+    /// `register_label_unaware_vnf(instance, pair)`.
+    RegisterUnaware { inst: u8, chain: u8, egress: u8 },
+    /// `apply_artifact` of the forwarder's own export, as Full
+    /// (`true`) or as Patch.
+    ApplyArtifact { full: bool },
     /// `fail_vnf_instance(instance)`.
     Fail(u8),
     /// A batch of labeled packets from the wire (forward direction).
@@ -62,6 +73,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
         ),
         2 => (1u8..4, 1u8..3, 0u8..4)
             .prop_map(|(chain, egress, epoch)| Op::Retire { chain, egress, epoch }),
+        1 => (1u8..4, 1u8..3).prop_map(|(chain, egress)| Op::Remove { chain, egress }),
+        1 => (0u8..6, 1u8..4, 1u8..3)
+            .prop_map(|(inst, chain, egress)| Op::RegisterUnaware { inst, chain, egress }),
+        1 => any::<bool>().prop_map(|full| Op::ApplyArtifact { full }),
         1 => (0u8..6).prop_map(Op::Fail),
         5 => prop::collection::vec(pkt.clone(), 1..80).prop_map(Op::WireBatch),
         2 => (0u8..6, prop::collection::vec(pkt, 1..40))
@@ -91,6 +106,35 @@ fn make_forwarder(mode: ForwarderMode) -> Forwarder {
     Forwarder::new(ForwarderId::new(1), SiteId::new(0), mode)
 }
 
+/// Which forwarder replays a script, and through which entry point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Path {
+    /// The interpreted per-packet `process` loop: the oracle.
+    Oracle,
+    /// The compiled batch pipeline (`Forwarder::process_batch`).
+    Compiled,
+    /// The compiled one-packet batches (`Forwarder::process`).
+    CompiledPerPacket,
+    /// The interpreted batch loop.
+    Interpreted,
+}
+
+/// A forwarder under replay: the compiled one or the reference.
+enum Fwd {
+    Compiled(Forwarder),
+    Reference(ReferenceForwarder),
+}
+
+/// Dispatches one method call to whichever forwarder is under replay.
+macro_rules! both {
+    ($fwd:expr, $f:ident => $call:expr) => {
+        match $fwd {
+            Fwd::Compiled($f) => $call,
+            Fwd::Reference($f) => $call,
+        }
+    };
+}
+
 fn packets(script: &[(u8, u8, u8)]) -> Vec<Packet> {
     script
         .iter()
@@ -106,17 +150,19 @@ fn comparable(mut snap: MetricsSnapshot) -> MetricsSnapshot {
     snap
 }
 
-/// Replays `ops` on one forwarder. `path` selects per-packet oracle
-/// (`None`), compiled batch (`Some(true)`), or interpreted batch
-/// (`Some(false)`). Returns per-packet outcomes as `(hop-or-error,
-/// rewritten packet)` strings so the three paths compare structurally.
-fn replay(ops: &[Op], mode: ForwarderMode, path: Option<bool>) -> (Forwarder, Telemetry, Vec<String>) {
+/// Replays `ops` on one forwarder along `path`. Returns the forwarder
+/// (the wrapped one for the reference paths) and per-packet outcomes as
+/// `(hop-or-error, rewritten packet)` strings so the paths compare
+/// structurally.
+fn replay(ops: &[Op], mode: ForwarderMode, path: Path) -> (Forwarder, Telemetry, Vec<String>) {
     let hub = Telemetry::new();
-    let mut fwd = make_forwarder(mode);
-    if let Some(compiled) = path {
-        fwd.set_compiled_fib(compiled);
-    }
-    fwd.attach_telemetry(&hub, 3);
+    let mut fwd = match path {
+        Path::Compiled | Path::CompiledPerPacket => Fwd::Compiled(make_forwarder(mode)),
+        Path::Oracle | Path::Interpreted => {
+            Fwd::Reference(ReferenceForwarder::from_forwarder(make_forwarder(mode)))
+        }
+    };
+    both!(&mut fwd, f => f.attach_telemetry(&hub, 3));
     let mut outcomes = Vec::new();
     for op in ops {
         match op {
@@ -126,17 +172,31 @@ fn replay(ops: &[Op], mode: ForwarderMode, path: Option<bool>) -> (Forwarder, Te
                 epoch,
                 weights,
             } => {
-                fwd.install_rules_epoch(
-                    pair(*chain, *egress),
-                    rules_from_weights(weights),
-                    u64::from(*epoch),
-                );
+                let (labels, rules) = (pair(*chain, *egress), rules_from_weights(weights));
+                both!(&mut fwd, f => f.install_rules_epoch(labels, rules, u64::from(*epoch)));
             }
             Op::Retire { chain, egress, epoch } => {
-                let _ = fwd.retire_epoch(pair(*chain, *egress), u64::from(*epoch));
+                let labels = pair(*chain, *egress);
+                let _ = both!(&mut fwd, f => f.retire_epoch(labels, u64::from(*epoch)));
+            }
+            Op::Remove { chain, egress } => {
+                let labels = pair(*chain, *egress);
+                let _ = both!(&mut fwd, f => f.remove_rules(labels));
+            }
+            Op::RegisterUnaware { inst, chain, egress } => {
+                let (instance, labels) = (InstanceId::new(u64::from(*inst)), pair(*chain, *egress));
+                both!(&mut fwd, f => f.register_label_unaware_vnf(instance, labels));
+            }
+            Op::ApplyArtifact { full } => {
+                let kind = if *full { ArtifactKind::Full } else { ArtifactKind::Patch };
+                both!(&mut fwd, f => {
+                    let art = f.export_artifact();
+                    f.apply_artifact(&art, kind);
+                });
             }
             Op::Fail(inst) => {
-                let _ = fwd.fail_vnf_instance(InstanceId::new(u64::from(*inst)));
+                let instance = InstanceId::new(u64::from(*inst));
+                let _ = both!(&mut fwd, f => f.fail_vnf_instance(instance));
             }
             Op::WireBatch(script) | Op::VnfBatch(_, script) => {
                 let from = match op {
@@ -144,59 +204,59 @@ fn replay(ops: &[Op], mode: ForwarderMode, path: Option<bool>) -> (Forwarder, Te
                     _ => edge(),
                 };
                 let mut pkts = packets(script);
-                match path {
-                    None => {
-                        for pkt in &mut pkts {
-                            match fwd.process(*pkt, from) {
-                                Ok((rewritten, hop)) => {
-                                    outcomes.push(format!("{hop} {rewritten:?}"));
-                                }
-                                Err(e) => outcomes.push(format!("err {e}")),
+                if matches!(path, Path::Oracle | Path::CompiledPerPacket) {
+                    for pkt in &mut pkts {
+                        match both!(&mut fwd, f => f.process(*pkt, from)) {
+                            Ok((rewritten, hop)) => {
+                                outcomes.push(format!("{hop} {rewritten:?}"));
                             }
+                            Err(e) => outcomes.push(format!("err {e}")),
                         }
                     }
-                    Some(_) => {
-                        let res = fwd.process_batch(&mut pkts, from);
-                        for (r, pkt) in res.iter().zip(&pkts) {
-                            match r {
-                                Ok(hop) => outcomes.push(format!("{hop} {pkt:?}")),
-                                Err(e) => outcomes.push(format!("err {e}")),
-                            }
+                } else {
+                    let res = both!(&mut fwd, f => f.process_batch(&mut pkts, from));
+                    for (r, pkt) in res.iter().zip(&pkts) {
+                        match r {
+                            Ok(hop) => outcomes.push(format!("{hop} {pkt:?}")),
+                            Err(e) => outcomes.push(format!("err {e}")),
                         }
                     }
                 }
             }
         }
     }
+    let fwd = match fwd {
+        Fwd::Compiled(f) => f,
+        Fwd::Reference(f) => f.forwarder().clone(),
+    };
     (fwd, hub, outcomes)
 }
 
 fn assert_three_way(ops: &[Op], mode: ForwarderMode) {
-    let (oracle_fwd, oracle_hub, oracle_out) = replay(ops, mode, None);
-    for compiled in [true, false] {
-        let path = if compiled { "compiled" } else { "interpreted" };
-        let (fwd, hub, out) = replay(ops, mode, Some(compiled));
-        assert_eq!(oracle_out, out, "{mode:?}/{path}: per-packet outcomes");
-        assert_eq!(oracle_fwd.stats(), fwd.stats(), "{mode:?}/{path}: stats");
+    let (oracle_fwd, oracle_hub, oracle_out) = replay(ops, mode, Path::Oracle);
+    for path in [Path::Compiled, Path::CompiledPerPacket, Path::Interpreted] {
+        let (fwd, hub, out) = replay(ops, mode, path);
+        assert_eq!(oracle_out, out, "{mode:?}/{path:?}: per-packet outcomes");
+        assert_eq!(oracle_fwd.stats(), fwd.stats(), "{mode:?}/{path:?}: stats");
         assert_eq!(
             oracle_fwd.flow_entries(),
             fwd.flow_entries(),
-            "{mode:?}/{path}: flow entries"
+            "{mode:?}/{path:?}: flow entries"
         );
         assert_eq!(
             oracle_fwd.work_done(),
             fwd.work_done(),
-            "{mode:?}/{path}: synthetic header work"
+            "{mode:?}/{path:?}: synthetic header work"
         );
         assert_eq!(
             comparable(oracle_hub.registry.snapshot()),
             comparable(hub.registry.snapshot()),
-            "{mode:?}/{path}: registry snapshot"
+            "{mode:?}/{path:?}: registry snapshot"
         );
         assert_eq!(
             oracle_hub.tracer.snapshot(),
             hub.tracer.snapshot(),
-            "{mode:?}/{path}: sampled trace events"
+            "{mode:?}/{path:?}: sampled trace events"
         );
     }
 }
@@ -205,7 +265,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Affinity mode: pins, LB choices, drops, flow-table state, and
-    /// telemetry are identical on all three paths under arbitrary
+    /// telemetry are identical on all four paths under arbitrary
     /// rule-churn/batch interleavings.
     #[test]
     fn compiled_path_is_bit_identical_in_affinity_mode(
@@ -223,6 +283,27 @@ proptest! {
     }
 }
 
+/// An artifact apply gives a row's older epochs the active payload (they
+/// travel as drain-only tags), so rolling back after an apply serves the
+/// applied rules on every path. A fixed script, because a random one
+/// rarely lines up install, apply, retire and fresh flows on one pair.
+#[test]
+fn rollback_after_artifact_apply_is_bit_identical() {
+    for full in [true, false] {
+        let ops = vec![
+            Op::Install { chain: 1, egress: 1, epoch: 0, weights: vec![1, 2] },
+            Op::Install { chain: 1, egress: 1, epoch: 2, weights: vec![5, 1, 1] },
+            Op::ApplyArtifact { full },
+            Op::Retire { chain: 1, egress: 1, epoch: 2 },
+            Op::WireBatch((0..16).map(|f| (f, 1, 1)).collect()),
+            Op::Remove { chain: 1, egress: 1 },
+            Op::WireBatch(vec![(20, 1, 1), (21, 1, 2)]),
+        ];
+        assert_three_way(&ops, ForwarderMode::Affinity);
+        assert_three_way(&ops, ForwarderMode::Overlay);
+    }
+}
+
 /// The FIB generation counter and rebuild/patch split are deterministic
 /// functions of the mutation script — identical across replays and
 /// exported through the registry.
@@ -236,8 +317,8 @@ fn fib_generation_is_deterministic_and_exported() {
         Op::Retire { chain: 1, egress: 1, epoch: 0 },
         Op::Fail(0),
     ];
-    let (a, hub, _) = replay(&ops, ForwarderMode::Affinity, Some(true));
-    let (b, _, _) = replay(&ops, ForwarderMode::Affinity, Some(true));
+    let (a, hub, _) = replay(&ops, ForwarderMode::Affinity, Path::Compiled);
+    let (b, _, _) = replay(&ops, ForwarderMode::Affinity, Path::Compiled);
     assert_eq!(a.fib_generation(), b.fib_generation());
     assert_eq!(a.fib_recompilations(), b.fib_recompilations());
     let snap = hub.registry.snapshot();
