@@ -6,16 +6,23 @@
 //!
 //! - a [`Model`] builder for linear programs with bounded continuous and
 //!   binary variables,
-//! - a two-phase **revised simplex** solver with dense basis inverse and
-//!   sparse constraint columns ([`Model::solve`]),
+//! - a two-phase **revised simplex** solver with a product-form basis
+//!   inverse (an eta file of sparse elementary columns) over sparse
+//!   constraint columns ([`Model::solve`]),
 //! - a best-first **branch-and-bound** solver for models with binary
 //!   variables ([`Model::solve_mip`]).
 //!
 //! The solver is deliberately conservative: Dantzig pricing with an automatic
 //! fallback to Bland's rule when progress stalls (anti-cycling), periodic
-//! basis refactorization to bound numerical drift, and first-class
+//! reinversion of the basis to bound numerical drift, and first-class
 //! [`SolveStatus::Infeasible`]/[`SolveStatus::Unbounded`] outcomes instead of
-//! panics.
+//! panics. Nothing falls back silently: a singular basis or an answer that
+//! fails its optimality [`Certificate`] is an [`LpError::Numerical`], and
+//! every LP [`Solution`] carries its certificate and deterministic
+//! [`SolveStats`].
+//!
+//! With the `reference` feature, `sb_lp::reference` keeps the earlier
+//! dense-inverse simplex as a test oracle.
 //!
 //! # Examples
 //!
@@ -42,10 +49,12 @@
 mod expr;
 mod mip;
 mod model;
+#[cfg(feature = "reference")]
+pub mod reference;
 mod simplex;
 mod solution;
 
 pub use expr::{LinExpr, VarId};
 pub use mip::MipOptions;
 pub use model::{ConstraintId, Model, Relation, Sense};
-pub use solution::{LpError, Solution, SolveStatus};
+pub use solution::{Certificate, LpError, Solution, SolveStats, SolveStatus};

@@ -12,7 +12,7 @@
 use crate::expr::VarId;
 use crate::model::{Model, Sense};
 use crate::simplex;
-use crate::solution::{LpError, Solution, SolveStatus};
+use crate::solution::{LpError, Solution, SolveStats, SolveStatus};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -102,6 +102,7 @@ pub(crate) fn branch_and_bound(
     let mut incumbent_norm = f64::INFINITY;
     let mut nodes = 0usize;
     let mut root_infeasible = true;
+    let mut stats = SolveStats::default();
 
     while nodes < options.max_nodes {
         let Some(ByBound(node)) = heap.pop() else {
@@ -122,6 +123,7 @@ pub(crate) fn branch_and_bound(
             Err(e) => return Err(e),
         };
         root_infeasible = false;
+        stats.absorb(&relax.stats());
         let relax_norm = normalize(sense, relax.objective());
         if relax_norm > incumbent_norm - options.gap_tol * incumbent_norm.abs().max(1.0) {
             continue;
@@ -155,7 +157,8 @@ pub(crate) fn branch_and_bound(
             }
             Some(bv) => {
                 // Rounding heuristic for an early incumbent.
-                if let Some(heur) = rounded_incumbent(model, &binaries, &relax, &node.fixes) {
+                if let Some(heur) = rounded_incumbent(model, &binaries, &relax, &node.fixes)? {
+                    stats.absorb(&heur.stats());
                     let norm = normalize(sense, heur.objective());
                     if norm < incumbent_norm {
                         incumbent_norm = norm;
@@ -175,13 +178,13 @@ pub(crate) fn branch_and_bound(
     }
 
     match incumbent {
-        Some(mut sol) => {
-            if !heap.is_empty() && nodes >= options.max_nodes {
-                sol = Solution::new(SolveStatus::LimitReached, sol.objective(), {
-                    sol.values().to_vec()
-                });
-            }
-            Ok(sol)
+        Some(sol) => {
+            let status = if !heap.is_empty() && nodes >= options.max_nodes {
+                SolveStatus::LimitReached
+            } else {
+                SolveStatus::Optimal
+            };
+            Ok(Solution::new(status, sol.objective(), sol.values().to_vec()).with_stats(stats))
         }
         None if nodes >= options.max_nodes && !heap.is_empty() => Err(LpError::NodeLimit),
         None if root_infeasible => Err(LpError::Infeasible),
@@ -190,13 +193,15 @@ pub(crate) fn branch_and_bound(
 }
 
 /// Re-solves the LP relaxation with the binaries rounded and fixed; returns
-/// a feasible integer solution when the resulting LP is feasible.
+/// a feasible integer solution when the resulting LP is feasible, and
+/// `None` when it is infeasible or unbounded. Numerical failures are
+/// errors, not a missing heuristic.
 fn rounded_incumbent(
     model: &Model,
     binaries: &[VarId],
     relax: &Solution,
     existing_fixes: &[(VarId, f64)],
-) -> Option<Solution> {
+) -> Result<Option<Solution>, LpError> {
     let mut fixes = existing_fixes.to_vec();
     let fixed_set: Vec<usize> = existing_fixes.iter().map(|(v, _)| v.index()).collect();
     for &bv in binaries {
@@ -204,7 +209,11 @@ fn rounded_incumbent(
             fixes.push((bv, relax.value(bv).round()));
         }
     }
-    simplex_with_fixes(model, &fixes).ok()
+    match simplex_with_fixes(model, &fixes) {
+        Ok(sol) => Ok(Some(sol)),
+        Err(LpError::Infeasible | LpError::Unbounded) => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 /// Solves the LP relaxation with the listed binaries fixed via bound
@@ -236,6 +245,9 @@ mod tests {
         assert!((s.value(b) - 1.0).abs() < 1e-9);
         assert!((s.value(c) - 1.0).abs() < 1e-9);
         assert!(s.value(a).abs() < 1e-9);
+        // An incumbent carries the summed work of the search, no certificate.
+        assert!(s.certificate().is_none());
+        assert!(s.stats().phase2_pivots > 0, "{:?}", s.stats());
     }
 
     #[test]

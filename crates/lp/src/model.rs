@@ -40,7 +40,7 @@ impl fmt::Display for Relation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConstraintId(pub(crate) u32);
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VarDef {
     pub(crate) name: String,
     pub(crate) lb: f64,
@@ -49,7 +49,7 @@ pub(crate) struct VarDef {
     pub(crate) integer: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ConstraintDef {
     pub(crate) expr: LinExpr,
     pub(crate) relation: Relation,
@@ -79,7 +79,7 @@ pub(crate) struct ConstraintDef {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     sense: Sense,
     pub(crate) vars: Vec<VarDef>,
@@ -258,7 +258,9 @@ impl Model {
     ///
     /// - [`LpError::Infeasible`] when no point satisfies the constraints.
     /// - [`LpError::Unbounded`] when the objective is unbounded.
-    /// - [`LpError::InvalidModel`] on malformed input or numerical failure.
+    /// - [`LpError::InvalidModel`] on malformed input.
+    /// - [`LpError::Numerical`] on a singular basis, the iteration limit, or
+    ///   an answer that fails its optimality [`Certificate`](crate::Certificate).
     pub fn solve(&self) -> Result<Solution, LpError> {
         self.validate()?;
         let bounds: Vec<(f64, f64)> = self.vars.iter().map(|v| (v.lb, v.ub)).collect();

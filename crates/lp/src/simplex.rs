@@ -1,4 +1,4 @@
-//! Two-phase revised simplex with a dense basis inverse and sparse columns.
+//! Two-phase revised simplex over a product-form basis inverse.
 //!
 //! The implementation follows the textbook revised simplex method:
 //!
@@ -12,19 +12,27 @@
 //!    their rows recognized as redundant and left inert).
 //! 4. Phase 2 minimizes the real objective over the real columns.
 //!
-//! Index-style loops are deliberate in the pivot/refactorization kernels:
-//! they mirror the textbook linear-algebra formulation and several update
-//! rows and columns of the same matrix in place.
-#![allow(clippy::needless_range_loop)]
-//!
 //! Pricing is Dantzig (most negative reduced cost) with an automatic,
 //! permanent fallback to Bland's rule when the objective stalls, which
-//! guarantees termination on degenerate models. The dense `B⁻¹` is updated
-//! by elementary row operations on every pivot and refactorized from scratch
-//! periodically to bound numerical drift.
+//! guarantees termination on degenerate models.
+//!
+//! `B⁻¹` is never formed. It is held as an [`EtaFile`]: a product of
+//! elementary matrices, one sparse column each. A pivot appends one eta
+//! built from the nonzeros of `w = B⁻¹a_q`; `ftran` and `btran` apply the
+//! etas forward and in reverse over a dense work vector. Every
+//! [`REINVERT_EVERY`] pivots, and once more before a phase may end, the
+//! file is rebuilt from the identity: single-nonzero basis columns
+//! (slacks, surpluses, artificials) pivot on their own row, then the other
+//! basis columns follow in order of increasing nonzero count, each on its
+//! free row of largest magnitude. A basis that leaves no usable pivot is
+//! reported as [`LpError::Numerical`].
+//!
+//! Before a solve returns, [`certify`] checks the answer: the returned
+//! values against the model's rows and bounds, and every reduced cost
+//! against the final basis. Either one outside its tolerance is an error.
 
 use crate::model::{Model, Relation, Sense};
-use crate::solution::{LpError, Solution, SolveStatus};
+use crate::solution::{Certificate, LpError, Solution, SolveStats, SolveStatus};
 
 /// Smallest magnitude accepted for a pivot element.
 const PIVOT_TOL: f64 = 1e-9;
@@ -32,8 +40,11 @@ const PIVOT_TOL: f64 = 1e-9;
 const FEAS_TOL: f64 = 1e-6;
 /// Reduced-cost tolerance for optimality.
 const COST_TOL: f64 = 1e-9;
-/// Rebuild `B⁻¹` from scratch after this many pivots.
-const REFACTOR_EVERY: usize = 128;
+/// Smallest magnitude accepted for a reinversion pivot; a basis column
+/// with no free entry above it makes the basis singular.
+const SINGULAR_TOL: f64 = 1e-12;
+/// Rebuild the eta file from the identity after this many pivots.
+const REINVERT_EVERY: usize = 64;
 
 /// How a model variable maps into standard-form columns.
 #[derive(Debug, Clone, Copy)]
@@ -49,29 +60,29 @@ enum VarMap {
 }
 
 /// The standard-form program assembled from a [`Model`].
-struct Standard {
+pub(crate) struct Standard {
     /// Sparse columns, structural + slack/surplus; artificials are appended
     /// later by the solver core.
-    cols: Vec<Vec<(usize, f64)>>,
+    pub(crate) cols: Vec<Vec<(usize, f64)>>,
     /// Right-hand sides, all non-negative.
-    b: Vec<f64>,
+    pub(crate) b: Vec<f64>,
     /// Phase-2 costs per column (minimization).
-    cost: Vec<f64>,
+    pub(crate) cost: Vec<f64>,
     /// Which rows need an artificial variable (`Ge` after scaling, `Eq`).
-    needs_artificial: Vec<bool>,
+    pub(crate) needs_artificial: Vec<bool>,
     /// Column that is basic-feasible for each row that has one (`Le` slack).
-    slack_of_row: Vec<Option<usize>>,
+    pub(crate) slack_of_row: Vec<Option<usize>>,
     /// Per-model-variable mapping back from columns.
     var_map: Vec<VarMap>,
 }
 
-/// Builds standard form from the model with per-variable bound overrides
-/// (used by branch-and-bound to fix binaries without cloning the model).
 /// A constraint row in sparse `(column, coefficient)` form during
 /// standardization.
 type SparseRow = (Vec<(usize, f64)>, Relation, f64);
 
-fn standardize(model: &Model, bounds: &[(f64, f64)]) -> Result<Standard, LpError> {
+/// Builds standard form from the model with per-variable bound overrides
+/// (used by branch-and-bound to fix binaries without cloning the model).
+pub(crate) fn standardize(model: &Model, bounds: &[(f64, f64)]) -> Result<Standard, LpError> {
     let nvars = model.vars.len();
     assert_eq!(bounds.len(), nvars, "bounds override arity mismatch");
 
@@ -206,6 +217,86 @@ fn standardize(model: &Model, bounds: &[(f64, f64)]) -> Result<Standard, LpError
     })
 }
 
+/// The product-form inverse `B⁻¹ = Eₖ ⋯ E₂E₁`.
+///
+/// Eta `Eᵢ` is the inverse of the identity with column `rows[i]` replaced
+/// by a pivot column `w`. It is stored as `w` itself: `w[rows[i]]` in
+/// `pivots[i]` and the other nonzeros of `w` as `(idx, val)` pairs in
+/// `starts[i]..starts[i + 1]`.
+struct EtaFile {
+    rows: Vec<usize>,
+    pivots: Vec<f64>,
+    starts: Vec<usize>,
+    idx: Vec<usize>,
+    val: Vec<f64>,
+}
+
+impl EtaFile {
+    fn new() -> Self {
+        Self {
+            rows: Vec::new(),
+            pivots: Vec::new(),
+            starts: vec![0],
+            idx: Vec::new(),
+            val: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.pivots.clear();
+        self.starts.truncate(1);
+        self.idx.clear();
+        self.val.clear();
+    }
+
+    /// Stored nonzeros, pivots included.
+    fn nonzeros(&self) -> usize {
+        self.rows.len() + self.idx.len()
+    }
+
+    /// Appends the eta that pivots the dense column `w` on `row`.
+    fn push(&mut self, row: usize, w: &[f64]) {
+        for (i, &wi) in w.iter().enumerate() {
+            if wi != 0.0 && i != row {
+                self.idx.push(i);
+                self.val.push(wi);
+            }
+        }
+        self.rows.push(row);
+        self.pivots.push(w[row]);
+        self.starts.push(self.idx.len());
+    }
+
+    /// `v := B⁻¹ v`.
+    fn ftran(&self, v: &mut [f64]) {
+        for (k, (&r, &p)) in self.rows.iter().zip(&self.pivots).enumerate() {
+            if v[r] == 0.0 {
+                continue;
+            }
+            let t = v[r] / p;
+            v[r] = t;
+            let span = self.starts[k]..self.starts[k + 1];
+            for (&i, &wi) in self.idx[span.clone()].iter().zip(&self.val[span]) {
+                v[i] -= wi * t;
+            }
+        }
+    }
+
+    /// `yᵀ := yᵀ B⁻¹`.
+    fn btran(&self, y: &mut [f64]) {
+        for (k, (&r, &p)) in self.rows.iter().zip(&self.pivots).enumerate().rev() {
+            let span = self.starts[k]..self.starts[k + 1];
+            let dot: f64 = self.idx[span.clone()]
+                .iter()
+                .zip(&self.val[span])
+                .map(|(&i, &wi)| wi * y[i])
+                .sum();
+            y[r] = (y[r] - dot) / p;
+        }
+    }
+}
+
 /// The revised-simplex working state.
 struct Core {
     m: usize,
@@ -217,11 +308,15 @@ struct Core {
     /// Basic column per row.
     basic: Vec<usize>,
     in_basis: Vec<bool>,
-    /// Dense row-major `B⁻¹` (`m × m`).
-    binv: Vec<f64>,
+    /// `B⁻¹` in product form.
+    etas: EtaFile,
     /// Current basic-variable values `B⁻¹ b`.
     xb: Vec<f64>,
-    pivots_since_refactor: usize,
+    pivots_since_reinvert: usize,
+    /// Pivots over the whole solve.
+    pivots: usize,
+    reinversions: usize,
+    peak_eta_nonzeros: usize,
 }
 
 enum IterEnd {
@@ -250,11 +345,6 @@ impl Core {
         for &c in &basic {
             in_basis[c] = true;
         }
-        let mut binv = vec![0.0; m * m];
-        for i in 0..m {
-            binv[i * m + i] = 1.0;
-        }
-        let xb = std_form.b.clone();
         Self {
             m,
             cols,
@@ -262,41 +352,33 @@ impl Core {
             b: std_form.b.clone(),
             basic,
             in_basis,
-            binv,
-            xb,
-            pivots_since_refactor: 0,
+            etas: EtaFile::new(),
+            xb: std_form.b.clone(),
+            pivots_since_reinvert: 0,
+            pivots: 0,
+            reinversions: 0,
+            peak_eta_nonzeros: 0,
         }
     }
 
     /// `w = B⁻¹ · column(j)`.
     fn ftran(&self, j: usize) -> Vec<f64> {
-        let m = self.m;
-        let mut w = vec![0.0; m];
+        let mut w = vec![0.0; self.m];
         for &(r, v) in &self.cols[j] {
-            if v == 0.0 {
-                continue;
-            }
-            for i in 0..m {
-                w[i] += self.binv[i * m + r] * v;
-            }
+            w[r] = v;
         }
+        self.etas.ftran(&mut w);
         w
     }
 
     /// `y = c_Bᵀ · B⁻¹` for the given cost vector (indexed by column).
     fn btran(&self, costs: &[f64]) -> Vec<f64> {
-        let m = self.m;
-        let mut y = vec![0.0; m];
-        for (i, &bc) in self.basic.iter().enumerate() {
-            let cb = costs.get(bc).copied().unwrap_or(0.0);
-            if cb == 0.0 {
-                continue;
-            }
-            let row = &self.binv[i * m..(i + 1) * m];
-            for (yj, &bij) in y.iter_mut().zip(row) {
-                *yj += cb * bij;
-            }
-        }
+        let mut y: Vec<f64> = self
+            .basic
+            .iter()
+            .map(|&c| costs.get(c).copied().unwrap_or(0.0))
+            .collect();
+        self.etas.btran(&mut y);
         y
     }
 
@@ -318,120 +400,100 @@ impl Core {
 
     /// Performs the basis change `basic[row] := entering` given the pivot
     /// direction `w = B⁻¹ A_entering`.
-    fn pivot(&mut self, entering: usize, row: usize, w: &[f64]) {
-        let m = self.m;
-        let wr = w[row];
-        debug_assert!(wr.abs() > PIVOT_TOL / 10.0);
-        // Update B⁻¹: scale pivot row, eliminate from others.
-        let inv = 1.0 / wr;
-        for j in 0..m {
-            self.binv[row * m + j] *= inv;
-        }
-        let theta = self.xb[row] * inv;
-        for i in 0..m {
-            if i == row {
+    fn pivot(&mut self, entering: usize, row: usize, w: &[f64]) -> Result<(), LpError> {
+        debug_assert!(w[row].abs() > PIVOT_TOL / 10.0);
+        self.etas.push(row, w);
+        self.peak_eta_nonzeros = self.peak_eta_nonzeros.max(self.etas.nonzeros());
+        let theta = self.xb[row] / w[row];
+        for (i, (x, &wi)) in self.xb.iter_mut().zip(w).enumerate() {
+            if i == row || wi == 0.0 {
                 continue;
             }
-            let wi = w[i];
-            if wi == 0.0 {
-                continue;
-            }
-            for j in 0..m {
-                let v = self.binv[row * m + j];
-                self.binv[i * m + j] -= wi * v;
-            }
-            self.xb[i] -= wi * theta;
-            if self.xb[i] < 0.0 && self.xb[i] > -FEAS_TOL {
-                self.xb[i] = 0.0;
+            *x -= wi * theta;
+            if *x < 0.0 && *x > -FEAS_TOL {
+                *x = 0.0;
             }
         }
         self.xb[row] = theta;
         self.in_basis[self.basic[row]] = false;
         self.in_basis[entering] = true;
         self.basic[row] = entering;
-        self.pivots_since_refactor += 1;
-        if self.pivots_since_refactor >= REFACTOR_EVERY {
-            self.refactorize();
+        self.pivots += 1;
+        self.pivots_since_reinvert += 1;
+        if self.pivots_since_reinvert >= REINVERT_EVERY {
+            self.reinvert()?;
         }
+        Ok(())
     }
 
-    /// Rebuilds `B⁻¹` by Gauss-Jordan elimination on the current basis
-    /// matrix, then recomputes `x_B = B⁻¹ b`. Silently keeps the drifted
-    /// inverse when the basis matrix is numerically singular (the iteration
-    /// loop will then terminate via its safety limit).
-    fn refactorize(&mut self) {
+    /// Rebuilds the eta file from the identity for the current basis, then
+    /// recomputes `x_B = B⁻¹ b`. Single-nonzero columns pivot on their own
+    /// row first; the rest follow by increasing nonzero count, each on the
+    /// free row where its transformed column is largest. Which row a column
+    /// is basic in may change; the basis itself does not.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::Numerical`] when a basis column has no free entry above
+    /// [`SINGULAR_TOL`], i.e. the basis matrix is singular.
+    fn reinvert(&mut self) -> Result<(), LpError> {
         let m = self.m;
-        self.pivots_since_refactor = 0;
-        if m == 0 {
-            return;
+        self.reinversions += 1;
+        self.pivots_since_reinvert = 0;
+        self.etas.clear();
+        let mut order = self.basic.clone();
+        order.sort_by_key(|&c| (self.cols[c].len(), c));
+        let mut basic = vec![usize::MAX; m];
+        let mut w = vec![0.0; m];
+        for c in order {
+            let row = if let [(r, v)] = self.cols[c][..] {
+                if basic[r] != usize::MAX || v.abs() <= SINGULAR_TOL {
+                    return Err(singular(c));
+                }
+                if v != 1.0 {
+                    w.fill(0.0);
+                    w[r] = v;
+                    self.etas.push(r, &w);
+                }
+                r
+            } else {
+                w.fill(0.0);
+                for &(r, v) in &self.cols[c] {
+                    w[r] = v;
+                }
+                self.etas.ftran(&mut w);
+                let mut best = None;
+                let mut best_abs = SINGULAR_TOL;
+                for (i, &wi) in w.iter().enumerate() {
+                    if basic[i] == usize::MAX && wi.abs() > best_abs {
+                        best = Some(i);
+                        best_abs = wi.abs();
+                    }
+                }
+                let Some(r) = best else {
+                    return Err(singular(c));
+                };
+                self.etas.push(r, &w);
+                r
+            };
+            basic[row] = c;
         }
-        // Assemble dense B (column i = basis column of row i).
-        let mut bmat = vec![0.0; m * m];
-        for (i, &c) in self.basic.iter().enumerate() {
-            for &(r, v) in &self.cols[c] {
-                bmat[r * m + i] = v;
-            }
-        }
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        for col in 0..m {
-            // Partial pivoting.
-            let mut best = col;
-            let mut best_abs = bmat[col * m + col].abs();
-            for r in (col + 1)..m {
-                let a = bmat[r * m + col].abs();
-                if a > best_abs {
-                    best = r;
-                    best_abs = a;
-                }
-            }
-            if best_abs < 1e-12 {
-                return; // singular: keep previous inverse
-            }
-            if best != col {
-                for j in 0..m {
-                    bmat.swap(col * m + j, best * m + j);
-                    inv.swap(col * m + j, best * m + j);
-                }
-            }
-            let p = bmat[col * m + col];
-            let pinv = 1.0 / p;
-            for j in 0..m {
-                bmat[col * m + j] *= pinv;
-                inv[col * m + j] *= pinv;
-            }
-            for r in 0..m {
-                if r == col {
-                    continue;
-                }
-                let f = bmat[r * m + col];
-                if f == 0.0 {
-                    continue;
-                }
-                for j in 0..m {
-                    bmat[r * m + j] -= f * bmat[col * m + j];
-                    inv[r * m + j] -= f * inv[col * m + j];
-                }
-            }
-        }
-        self.binv = inv;
-        // Recompute basic values.
-        let mut xb = vec![0.0; m];
-        for i in 0..m {
-            let row = &self.binv[i * m..(i + 1) * m];
-            xb[i] = row.iter().zip(&self.b).map(|(a, b)| a * b).sum();
-            if xb[i] < 0.0 && xb[i] > -FEAS_TOL {
-                xb[i] = 0.0;
+        self.peak_eta_nonzeros = self.peak_eta_nonzeros.max(self.etas.nonzeros());
+        self.basic = basic;
+        let mut xb = self.b.clone();
+        self.etas.ftran(&mut xb);
+        for x in &mut xb {
+            if *x < 0.0 && *x > -FEAS_TOL {
+                *x = 0.0;
             }
         }
         self.xb = xb;
+        Ok(())
     }
 
     /// Runs simplex iterations minimizing `costs` until optimal or
-    /// unbounded. `allow_artificials` permits artificial columns to enter
-    /// (never used; artificials only ever leave).
+    /// unbounded. Optimality is only declared on a freshly reinverted
+    /// basis, so drift in the eta file cannot end a phase early.
     fn iterate(&mut self, costs: &[f64]) -> Result<IterEnd, LpError> {
         let n = self.cols.len();
         let iter_limit = 200 * (self.m + 1) + 20 * n + 10_000;
@@ -459,17 +521,21 @@ impl Core {
                 }
             }
             let Some(entering) = entering else {
-                return Ok(IterEnd::Optimal);
+                if self.pivots_since_reinvert == 0 {
+                    return Ok(IterEnd::Optimal);
+                }
+                self.reinvert()?;
+                continue;
             };
 
             let w = self.ftran(entering);
             // Ratio test.
             let mut leave: Option<usize> = None;
             let mut min_ratio = f64::INFINITY;
-            for i in 0..self.m {
-                if w[i] > PIVOT_TOL {
+            for (i, &wi) in w.iter().enumerate() {
+                if wi > PIVOT_TOL {
                     let xi = self.xb[i].max(0.0);
-                    let ratio = xi / w[i];
+                    let ratio = xi / wi;
                     let better = match leave {
                         None => true,
                         Some(cur) => {
@@ -479,7 +545,7 @@ impl Core {
                                 if bland {
                                     self.basic[i] < self.basic[cur]
                                 } else {
-                                    w[i] > w[cur]
+                                    wi > w[cur]
                                 }
                             } else {
                                 false
@@ -496,7 +562,7 @@ impl Core {
                 return Ok(IterEnd::Unbounded);
             };
 
-            self.pivot(entering, leave, &w);
+            self.pivot(entering, leave, &w)?;
 
             // Stall detection -> permanent Bland fallback.
             let obj = self.objective(costs);
@@ -510,42 +576,106 @@ impl Core {
                 }
             }
         }
-        Err(LpError::InvalidModel(
-            "simplex iteration limit exceeded (numerical trouble)".into(),
+        Err(LpError::Numerical(
+            "simplex iteration limit exceeded".into(),
         ))
     }
 
     /// After phase 1: pivot artificial columns out of the basis where
     /// possible; rows whose artificial cannot be displaced are redundant and
     /// stay inert (their tableau row is zero over all real columns).
-    fn expel_artificials(&mut self) {
+    /// Artificials only ever sit in their own row, so reinversions during
+    /// this loop move no artificial to a row already visited.
+    fn expel_artificials(&mut self) -> Result<(), LpError> {
         for r in 0..self.m {
             if self.basic[r] < self.n_real {
                 continue;
             }
             // Find a nonbasic real column with a nonzero element in row r of
-            // the tableau (= row r of B⁻¹ A_j).
-            let m = self.m;
-            let binv_row: Vec<f64> = self.binv[r * m..(r + 1) * m].to_vec();
-            let mut found = None;
-            for j in 0..self.n_real {
-                if self.in_basis[j] {
-                    continue;
-                }
-                let alpha: f64 = self.cols[j]
-                    .iter()
-                    .map(|&(row, v)| binv_row[row] * v)
-                    .sum();
-                if alpha.abs() > 1e-7 {
-                    found = Some(j);
-                    break;
-                }
-            }
+            // the tableau (= row r of B⁻¹ A_j), taking row r of B⁻¹ as the
+            // btran of the unit vector e_r.
+            let mut binv_row = vec![0.0; self.m];
+            binv_row[r] = 1.0;
+            self.etas.btran(&mut binv_row);
+            let found = (0..self.n_real).find(|&j| {
+                !self.in_basis[j]
+                    && self.cols[j]
+                        .iter()
+                        .map(|&(row, v)| binv_row[row] * v)
+                        .sum::<f64>()
+                        .abs()
+                        > 1e-7
+            });
             if let Some(j) = found {
                 let w = self.ftran(j);
-                self.pivot(j, r, &w);
+                self.pivot(j, r, &w)?;
             }
         }
+        Ok(())
+    }
+}
+
+fn singular(col: usize) -> LpError {
+    LpError::Numerical(format!(
+        "singular basis during reinversion: basis column {col} has no free pivot \
+         above {SINGULAR_TOL:e}"
+    ))
+}
+
+/// Maps standard-form column values back to model variables.
+pub(crate) fn model_values(std_form: &Standard, col_values: &[f64]) -> Vec<f64> {
+    std_form
+        .var_map
+        .iter()
+        .map(|vm| match *vm {
+            VarMap::Shifted { col, shift } => shift + col_values[col],
+            VarMap::Negated { col, shift } => shift - col_values[col],
+            VarMap::Split { pos, neg } => col_values[pos] - col_values[neg],
+            VarMap::Fixed(v) => v,
+        })
+        .collect()
+}
+
+/// Computes the optimality certificate of a finished solve: the largest
+/// violation of a model row or of `bounds` by `values`, each divided by
+/// `max(1, |rhs|)` or `max(1, |bound|)`; and the most negative reduced cost
+/// of any real column at the final basis, divided by `max(1, ‖c‖∞)`.
+fn certify(
+    model: &Model,
+    bounds: &[(f64, f64)],
+    values: &[f64],
+    core: &Core,
+    costs: &[f64],
+) -> Certificate {
+    let mut primal = 0.0f64;
+    for (&x, &(lb, ub)) in values.iter().zip(bounds) {
+        if lb.is_finite() {
+            primal = primal.max((lb - x) / lb.abs().max(1.0));
+        }
+        if ub.is_finite() {
+            primal = primal.max((x - ub) / ub.abs().max(1.0));
+        }
+    }
+    for con in &model.constraints {
+        let gap = con.expr.eval(values) - con.rhs;
+        let violation = match con.relation {
+            Relation::Le => gap,
+            Relation::Ge => -gap,
+            Relation::Eq => gap.abs(),
+        };
+        primal = primal.max(violation / con.rhs.abs().max(1.0));
+    }
+
+    let y = core.btran(costs);
+    let scale = costs[..core.n_real]
+        .iter()
+        .fold(1.0f64, |s, c| s.max(c.abs()));
+    let most_negative = (0..core.n_real)
+        .map(|j| core.reduced_cost(j, costs, &y))
+        .fold(0.0f64, f64::min);
+    Certificate {
+        primal_residual: primal,
+        dual_infeasibility: most_negative.abs() / scale,
     }
 }
 
@@ -562,13 +692,11 @@ pub(crate) fn solve_with_bounds(
     // Phase 1 (only when some row lacks a natural slack basis).
     if core.cols.len() > core.n_real {
         let mut cost1 = vec![0.0; core.cols.len()];
-        for c in core.n_real..core.cols.len() {
-            cost1[c] = 1.0;
-        }
+        cost1[core.n_real..].fill(1.0);
         match core.iterate(&cost1)? {
             IterEnd::Unbounded => {
-                return Err(LpError::InvalidModel(
-                    "phase-1 objective reported unbounded (numerical trouble)".into(),
+                return Err(LpError::Numerical(
+                    "phase-1 objective reported unbounded".into(),
                 ))
             }
             IterEnd::Optimal => {}
@@ -576,8 +704,9 @@ pub(crate) fn solve_with_bounds(
         if core.objective(&cost1) > FEAS_TOL {
             return Err(LpError::Infeasible);
         }
-        core.expel_artificials();
+        core.expel_artificials()?;
     }
+    let phase1_pivots = core.pivots;
 
     // Phase 2.
     let mut cost2 = std_form.cost.clone();
@@ -594,23 +723,32 @@ pub(crate) fn solve_with_bounds(
             col_values[c] = core.xb[i].max(0.0);
         }
     }
-    let values: Vec<f64> = std_form
-        .var_map
-        .iter()
-        .map(|vm| match *vm {
-            VarMap::Shifted { col, shift } => shift + col_values[col],
-            VarMap::Negated { col, shift } => shift - col_values[col],
-            VarMap::Split { pos, neg } => col_values[pos] - col_values[neg],
-            VarMap::Fixed(v) => v,
-        })
-        .collect();
+    let values = model_values(&std_form, &col_values);
 
+    let certificate = certify(model, bounds, &values, &core, &cost2);
+    if !certificate.holds() {
+        return Err(LpError::Numerical(format!(
+            "optimality certificate failed: primal residual {:e} (tolerance {:e}), \
+             dual infeasibility {:e} (tolerance {:e})",
+            certificate.primal_residual,
+            Certificate::PRIMAL_TOL,
+            certificate.dual_infeasibility,
+            Certificate::DUAL_TOL,
+        )));
+    }
+    let stats = SolveStats {
+        phase1_pivots,
+        phase2_pivots: core.pivots - phase1_pivots,
+        reinversions: core.reinversions,
+        peak_eta_nonzeros: core.peak_eta_nonzeros,
+    };
     let objective = model.objective_value(&values);
-    Ok(Solution::new(SolveStatus::Optimal, objective, values))
+    Ok(Solution::new(SolveStatus::Optimal, objective, values).with_proof(certificate, stats))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{standardize, Core};
     use crate::{LpError, Model, Sense};
 
     fn inf() -> f64 {
@@ -811,5 +949,110 @@ mod tests {
         }
         let s = m.solve().unwrap();
         assert!((s.objective() - 465.0).abs() < 1e-5, "{}", s.objective());
+    }
+
+    /// Asserts `B⁻¹ B = I` column by column: `ftran` of the column basic in
+    /// row `i` is the unit vector `e_i`, and so is `btran` of `e_i`
+    /// applied to that column.
+    fn assert_inverts_basis(core: &Core) {
+        for (i, &c) in core.basic.iter().enumerate() {
+            let w = core.ftran(c);
+            for (k, &wk) in w.iter().enumerate() {
+                let want = if k == i { 1.0 } else { 0.0 };
+                assert!((wk - want).abs() < 1e-9, "ftran row {k} of basic {c}: {wk}");
+            }
+            let mut row = vec![0.0; core.m];
+            row[i] = 1.0;
+            core.etas.btran(&mut row);
+            let dot: f64 = core.cols[c].iter().map(|&(r, v)| row[r] * v).sum();
+            assert!(
+                (dot - 1.0).abs() < 1e-9,
+                "row {i} of B⁻¹ against basic {c}: {dot}"
+            );
+        }
+    }
+
+    #[test]
+    fn eta_file_inverts_the_basis_before_and_after_reinversion() {
+        // The transportation problem below: Ge rows need phase 1.
+        let mut m = Model::new(Sense::Minimize);
+        let costs = [[8.0, 6.0, 10.0], [9.0, 12.0, 13.0]];
+        let x: Vec<Vec<_>> = costs
+            .iter()
+            .map(|row| row.iter().map(|&c| m.add_var("x", 0.0, inf(), c)).collect())
+            .collect();
+        for (i, s) in [20.0, 30.0].into_iter().enumerate() {
+            m.add_le((0..3).map(|j| (x[i][j], 1.0)).collect::<Vec<_>>(), s);
+        }
+        for (j, d) in [10.0, 25.0, 15.0].into_iter().enumerate() {
+            m.add_ge((0..2).map(|i| (x[i][j], 1.0)).collect::<Vec<_>>(), d);
+        }
+        let std_form = standardize(&m, &[(0.0, inf()); 6]).unwrap();
+        let mut core = Core::new(&std_form);
+        let mut cost1 = vec![0.0; core.cols.len()];
+        cost1[core.n_real..].fill(1.0);
+        // Stop short of optimality so the file holds pivot etas.
+        for _ in 0..3 {
+            let y = core.btran(&cost1);
+            let entering = (0..core.n_real)
+                .filter(|&j| !core.in_basis[j])
+                .min_by(|&a, &b| {
+                    core.reduced_cost(a, &cost1, &y)
+                        .total_cmp(&core.reduced_cost(b, &cost1, &y))
+                })
+                .unwrap();
+            let w = core.ftran(entering);
+            let leave = (0..core.m)
+                .filter(|&i| w[i] > 1e-9)
+                .min_by(|&a, &b| (core.xb[a] / w[a]).total_cmp(&(core.xb[b] / w[b])))
+                .unwrap();
+            core.pivot(entering, leave, &w).unwrap();
+        }
+        assert_eq!(core.etas.rows.len(), 3);
+        assert_inverts_basis(&core);
+        let xb_before = core.xb.clone();
+        let basic_before = core.basic.clone();
+        core.reinvert().unwrap();
+        assert_inverts_basis(&core);
+        // Reinversion may move columns between rows but keeps the basis and
+        // each column's value.
+        for (i, &c) in core.basic.iter().enumerate() {
+            let was = basic_before.iter().position(|&b| b == c).unwrap();
+            assert!((core.xb[i] - xb_before[was]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn singular_basis_at_reinversion_is_an_error() {
+        // Proportional columns cannot both be basic.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", 0.0, inf(), 1.0);
+        let y = m.add_var("y", 0.0, inf(), 1.0);
+        m.add_le([(x, 1.0), (y, 2.0)], 4.0);
+        m.add_le([(x, 2.0), (y, 4.0)], 9.0);
+        let std_form = standardize(&m, &[(0.0, inf()); 2]).unwrap();
+        let mut core = Core::new(&std_form);
+        core.basic = vec![x.index(), y.index()];
+        assert!(matches!(core.reinvert(), Err(LpError::Numerical(_))));
+    }
+
+    #[test]
+    fn lp_solutions_carry_certificate_and_stats() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", 0.0, inf(), 2.0);
+        let y = m.add_var("y", 0.0, inf(), 3.0);
+        m.add_ge([(x, 1.0), (y, 1.0)], 10.0);
+        m.add_ge([(x, 1.0)], 2.0);
+        m.add_ge([(y, 1.0)], 3.0);
+        let s = m.solve().unwrap();
+        let cert = s.certificate().unwrap();
+        assert!(cert.holds(), "{cert:?}");
+        assert!(cert.primal_residual < 1e-12 && cert.dual_infeasibility < 1e-12);
+        let stats = s.stats();
+        assert!(stats.phase1_pivots >= 3, "{stats:?}");
+        // Each phase ends on a freshly reinverted basis.
+        assert!(stats.reinversions >= 1, "{stats:?}");
+        assert!(stats.peak_eta_nonzeros > 0, "{stats:?}");
+        assert_eq!(m.solve().unwrap().stats(), stats);
     }
 }

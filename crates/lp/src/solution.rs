@@ -41,6 +41,10 @@ pub enum LpError {
     InvalidModel(String),
     /// No feasible integer point was found within the node limit.
     NodeLimit,
+    /// The solver lost numerical control: a singular basis at
+    /// reinversion, the iteration limit, or an answer that failed its
+    /// optimality certificate.
+    Numerical(String),
 }
 
 impl fmt::Display for LpError {
@@ -52,11 +56,67 @@ impl fmt::Display for LpError {
             LpError::NodeLimit => {
                 write!(f, "node limit reached without a feasible integer point")
             }
+            LpError::Numerical(reason) => write!(f, "numerical failure: {reason}"),
         }
     }
 }
 
 impl std::error::Error for LpError {}
+
+/// Evidence that an LP answer is optimal, computed from the final basis
+/// before [`Model::solve`](crate::Model::solve) returns. A solve whose
+/// certificate does not [hold](Certificate::holds) returns
+/// [`LpError::Numerical`] instead of a solution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Certificate {
+    /// The largest violation of a model row or variable bound by the
+    /// returned values, each divided by `max(1, |rhs|)` or
+    /// `max(1, |bound|)`; `0` when every row and bound holds exactly.
+    pub primal_residual: f64,
+    /// The most negative reduced cost over the standard-form columns at
+    /// the final basis, negated and divided by `max(1, ‖c‖∞)`; `0` when
+    /// none is negative.
+    pub dual_infeasibility: f64,
+}
+
+impl Certificate {
+    /// The largest accepted [`primal_residual`](Certificate::primal_residual).
+    pub const PRIMAL_TOL: f64 = 1e-6;
+    /// The largest accepted
+    /// [`dual_infeasibility`](Certificate::dual_infeasibility).
+    pub const DUAL_TOL: f64 = 1e-7;
+
+    /// Whether both measures are within their tolerances.
+    #[must_use]
+    pub fn holds(&self) -> bool {
+        self.primal_residual <= Self::PRIMAL_TOL && self.dual_infeasibility <= Self::DUAL_TOL
+    }
+}
+
+/// Deterministic work counters of a solve: the same model gives the same
+/// counts on every run. Branch-and-bound sums them over every relaxation
+/// it solves (and keeps the largest eta file).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct SolveStats {
+    /// Pivots in phase 1, including those that expel artificials.
+    pub phase1_pivots: usize,
+    /// Pivots in phase 2.
+    pub phase2_pivots: usize,
+    /// Times the eta file was rebuilt from the identity.
+    pub reinversions: usize,
+    /// The most eta-file nonzeros held at once, pivots included.
+    pub peak_eta_nonzeros: usize,
+}
+
+impl SolveStats {
+    /// Adds `other`'s counts to these, keeping the larger peak.
+    pub(crate) fn absorb(&mut self, other: &SolveStats) {
+        self.phase1_pivots += other.phase1_pivots;
+        self.phase2_pivots += other.phase2_pivots;
+        self.reinversions += other.reinversions;
+        self.peak_eta_nonzeros = self.peak_eta_nonzeros.max(other.peak_eta_nonzeros);
+    }
+}
 
 /// An optimal (or best-incumbent) solution to a model.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +124,8 @@ pub struct Solution {
     status: SolveStatus,
     objective: f64,
     values: Vec<f64>,
+    certificate: Option<Certificate>,
+    stats: SolveStats,
 }
 
 impl Solution {
@@ -72,7 +134,20 @@ impl Solution {
             status,
             objective,
             values,
+            certificate: None,
+            stats: SolveStats::default(),
         }
+    }
+
+    pub(crate) fn with_proof(mut self, certificate: Certificate, stats: SolveStats) -> Self {
+        self.certificate = Some(certificate);
+        self.stats = stats;
+        self
+    }
+
+    pub(crate) fn with_stats(mut self, stats: SolveStats) -> Self {
+        self.stats = stats;
+        self
     }
 
     /// The status this solution terminated with.
@@ -102,6 +177,20 @@ impl Solution {
     #[must_use]
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// The optimality certificate of an LP solve. `None` for a
+    /// branch-and-bound incumbent, whose optimality rests on the search
+    /// rather than on one basis.
+    #[must_use]
+    pub fn certificate(&self) -> Option<Certificate> {
+        self.certificate
+    }
+
+    /// The solve's work counters.
+    #[must_use]
+    pub fn stats(&self) -> SolveStats {
+        self.stats
     }
 }
 

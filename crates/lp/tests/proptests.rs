@@ -8,11 +8,16 @@
 //!   assignments recovers the exact MIP optimum.
 //!
 //! On top of that, every solution returned on any random model must satisfy
-//! every constraint (primal feasibility), and constructed-feasible models
-//! must never be declared infeasible.
+//! every constraint (primal feasibility) and carry an optimality
+//! certificate that holds, and constructed-feasible models must never be
+//! declared infeasible.
+//!
+//! A third oracle covers larger models: on random sparse feasible LPs the
+//! product-form simplex must agree with the dense-inverse simplex kept in
+//! `sb_lp::reference`, in status and in objective.
 
 use proptest::prelude::*;
-use sb_lp::{LpError, MipOptions, Model, Relation, Sense};
+use sb_lp::{LpError, MipOptions, Model, Relation, Sense, Solution};
 
 const TOL: f64 = 1e-5;
 
@@ -79,6 +84,109 @@ fn brute_force_two_var(lp: &TwoVarLp) -> Option<(f64, [f64; 2])> {
     best
 }
 
+/// Whether an LP solution carries a certificate within its tolerances.
+fn certified(sol: &Solution) -> bool {
+    sol.certificate().is_some_and(|c| c.holds())
+}
+
+/// A generated row `(terms, relation selector, slack)`: selector 0 is `Le`
+/// with the rhs `slack` above the seed value, 1 is `Ge` with it `slack`
+/// below, 2 is `Eq` at the seed value.
+type GenRow = (Vec<(usize, f64)>, u8, f64);
+
+/// A random sparse LP, feasible by construction: every row holds at a seed
+/// point inside the bounding box `[0, box_hi]ⁿ`, so the optimum is finite.
+#[derive(Debug, Clone)]
+struct SparseLp {
+    maximize: bool,
+    box_hi: f64,
+    costs: Vec<f64>,
+    /// The seed point, as fractions of `box_hi`.
+    seed: Vec<f64>,
+    rows: Vec<GenRow>,
+    /// `(i, j, k)`: the equality `eqᵢ + k·eqⱼ` over the model's equality
+    /// rows, redundant by construction.
+    redundant: Vec<(usize, usize, f64)>,
+}
+
+fn arb_sparse_lp() -> impl Strategy<Value = SparseLp> {
+    (6usize..30, 10usize..=60).prop_flat_map(|(n, m)| {
+        (
+            any::<bool>(),
+            5.0..20.0f64,
+            prop::collection::vec(-5.0..5.0f64, n),
+            prop::collection::vec(0.0..1.0f64, n),
+            prop::collection::vec(
+                (
+                    prop::collection::vec((0..n, -3.0..3.0f64), 1..6),
+                    0u8..3,
+                    0.0..2.0f64,
+                ),
+                m,
+            ),
+            prop::collection::vec((0usize..60, 0usize..60, -2.0..2.0f64), 0..4),
+        )
+            .prop_map(
+                |(maximize, box_hi, costs, seed, rows, redundant)| SparseLp {
+                    maximize,
+                    box_hi,
+                    costs,
+                    seed,
+                    rows,
+                    redundant,
+                },
+            )
+    })
+}
+
+fn build_sparse_model(lp: &SparseLp) -> Model {
+    let sense = if lp.maximize {
+        Sense::Maximize
+    } else {
+        Sense::Minimize
+    };
+    let mut m = Model::new(sense);
+    let vars: Vec<_> = lp
+        .costs
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| m.add_var(format!("x{i}"), 0.0, lp.box_hi, c))
+        .collect();
+    let at_seed = |terms: &[(usize, f64)]| -> f64 {
+        terms.iter().map(|&(i, c)| c * lp.seed[i] * lp.box_hi).sum()
+    };
+    let mut equalities: Vec<(Vec<(usize, f64)>, f64)> = Vec::new();
+    for (terms, relation, slack) in &lp.rows {
+        let expr: Vec<_> = terms.iter().map(|&(i, c)| (vars[i], c)).collect();
+        let value = at_seed(terms);
+        match relation {
+            0 => {
+                m.add_le(expr, value + slack);
+            }
+            1 => {
+                m.add_ge(expr, value - slack);
+            }
+            _ => {
+                m.add_eq(expr, value);
+                equalities.push((terms.clone(), value));
+            }
+        }
+    }
+    if !equalities.is_empty() {
+        for &(i, j, k) in &lp.redundant {
+            let (a, ra) = &equalities[i % equalities.len()];
+            let (b, rb) = &equalities[j % equalities.len()];
+            let expr: Vec<_> = a
+                .iter()
+                .map(|&(v, c)| (vars[v], c))
+                .chain(b.iter().map(|&(v, c)| (vars[v], k * c)))
+                .collect();
+            m.add_eq(expr, ra + k * rb);
+        }
+    }
+    m
+}
+
 fn build_model(lp: &TwoVarLp) -> Model {
     let mut m = Model::new(Sense::Maximize);
     let x0 = m.add_var("x0", 0.0, lp.box_hi, lp.c[0]);
@@ -105,6 +213,7 @@ proptest! {
                     "simplex {} vs brute force {}", sol.objective(), bv
                 );
                 prop_assert!(m.is_feasible(sol.values(), TOL));
+                prop_assert!(certified(&sol), "{:?}", sol.certificate());
             }
             Err(LpError::Infeasible) => {
                 // Origin is always in the box; infeasibility can only come
@@ -144,6 +253,7 @@ proptest! {
         prop_assert!(sol.is_ok(), "seeded-feasible model failed: {:?}", sol.err());
         let sol = sol.unwrap();
         prop_assert!(m.is_feasible(sol.values(), TOL));
+        prop_assert!(certified(&sol), "{:?}", sol.certificate());
         let seed_obj: f64 = (0..n).map(|i| costs[i] * x0[i]).sum();
         prop_assert!(sol.objective() <= seed_obj + TOL);
     }
@@ -223,6 +333,34 @@ proptest! {
         }
         let sol = m.solve();
         prop_assert!(sol.is_ok(), "seeded equality model failed: {:?}", sol.err());
-        prop_assert!(m.is_feasible(sol.unwrap().values(), 1e-4));
+        let sol = sol.unwrap();
+        prop_assert!(m.is_feasible(sol.values(), 1e-4));
+        prop_assert!(certified(&sol), "{:?}", sol.certificate());
+    }
+
+    /// The product-form simplex agrees with the dense-inverse reference on
+    /// random sparse feasible LPs with mixed row kinds and redundant
+    /// equalities: same status, same objective to 1e-6 relative.
+    #[test]
+    fn eta_simplex_matches_dense_reference(lp in arb_sparse_lp()) {
+        let m = build_sparse_model(&lp);
+        match (m.solve(), sb_lp::reference::solve(&m)) {
+            (Ok(eta), Ok(dense)) => {
+                prop_assert!(
+                    (eta.objective() - dense.objective()).abs()
+                        <= 1e-6 * dense.objective().abs().max(1.0),
+                    "eta {} vs dense {}", eta.objective(), dense.objective()
+                );
+                prop_assert_eq!(eta.status(), dense.status());
+                prop_assert!(certified(&eta), "{:?}", eta.certificate());
+                prop_assert!(m.is_feasible(eta.values(), TOL));
+            }
+            (eta, dense) => prop_assert!(
+                false,
+                "a feasible bounded model did not solve on both sides: eta {:?}, dense {:?}",
+                eta.map(|s| s.objective()),
+                dense.map(|s| s.objective())
+            ),
+        }
     }
 }

@@ -60,23 +60,7 @@ pub fn plan_cloud_capacity(model: &NetworkModel, extra: LoadUnits) -> Result<Vec
     let mut lpm = LpModel::new(Sense::Maximize);
     let vars = lp::build_vars(model, &mut lpm);
     let alpha = lpm.add_var("alpha", 0.0, f64::INFINITY, 1.0);
-
-    // Demand rows: Σ first-stage = α.
-    for (ci, _chain) in model.chains().iter().enumerate() {
-        let mut expr: LinExpr = vars
-            .iter()
-            .filter(|f| f.chain == ci && f.stage == 0)
-            .map(|f| (f.var, 1.0))
-            .collect();
-        if expr.terms().is_empty() {
-            return Err(Error::infeasible(format!(
-                "chain {ci} has no reachable first-stage placement"
-            )));
-        }
-        expr.add_term(alpha, -1.0);
-        lpm.add_eq(expr, 0.0);
-    }
-
+    lp::add_demand_rows(model, &mut lpm, &vars, Some(alpha))?;
     lp::add_conservation(model, &mut lpm, &vars);
 
     // Per-site allocation variables, Σ a_s <= extra.
@@ -93,30 +77,7 @@ pub fn plan_cloud_capacity(model: &NetworkModel, extra: LoadUnits) -> Result<Vec
     // load_{f,s} <= m_sf + (m_sf / m_s) * a_s. Both are linear in a_s, and
     // together they make the planning LP agree exactly with how
     // [`rescale_model`] scores an allocation.
-    let mut site_exprs: Vec<LinExpr> = vec![LinExpr::new(); model.num_sites()];
-    let mut vnf_site_exprs: HashMap<(VnfId, SiteId), LinExpr> = HashMap::new();
-    for fv in &vars {
-        let chain = &model.chains()[fv.chain];
-        let traffic = chain.stage_traffic(fv.stage);
-        if let Some(site) = fv.to.site {
-            let vnf = chain.vnfs[fv.stage];
-            let lf = model.vnfs()[vnf.index()].load_per_unit;
-            site_exprs[site.index()].add_term(fv.var, lf * traffic);
-            vnf_site_exprs
-                .entry((vnf, site))
-                .or_default()
-                .add_term(fv.var, lf * traffic);
-        }
-        if let Some(site) = fv.from.site {
-            let vnf = chain.vnfs[fv.stage - 1];
-            let lf = model.vnfs()[vnf.index()].load_per_unit;
-            site_exprs[site.index()].add_term(fv.var, lf * traffic);
-            vnf_site_exprs
-                .entry((vnf, site))
-                .or_default()
-                .add_term(fv.var, lf * traffic);
-        }
-    }
+    let (site_exprs, vnf_site_exprs) = lp::compute_loads(model, &vars);
     for (i, mut expr) in site_exprs.into_iter().enumerate() {
         if expr.terms().is_empty() {
             continue;
@@ -127,44 +88,14 @@ pub fn plan_cloud_capacity(model: &NetworkModel, extra: LoadUnits) -> Result<Vec
         lpm.add_le(expr, model.site_capacity(site));
     }
     for ((vnf, site), mut expr) in vnf_site_exprs {
-        let m_sf = model.vnfs()[vnf.index()]
-            .site_capacity
-            .get(&site)
-            .copied()
-            .unwrap_or(0.0);
+        let m_sf = lp::vnf_site_capacity(model, vnf, site);
         let m_s = model.site_capacity(site);
         if m_s > 0.0 {
             expr.add_term(alloc[site.index()], -m_sf / m_s);
         }
         lpm.add_le(expr, m_sf);
     }
-
-    // MLU rows.
-    let mut link_exprs: Vec<LinExpr> = vec![LinExpr::new(); model.topology().num_links()];
-    for fv in &vars {
-        let chain = &model.chains()[fv.chain];
-        if fv.from.node == fv.to.node {
-            continue;
-        }
-        let (w, v) = (chain.forward[fv.stage], chain.reverse[fv.stage]);
-        if w > 0.0 {
-            for (&link, &r) in model.routing().fractions_between(fv.from.node, fv.to.node) {
-                link_exprs[link.index()].add_term(fv.var, w * r);
-            }
-        }
-        if v > 0.0 {
-            for (&link, &r) in model.routing().fractions_between(fv.to.node, fv.from.node) {
-                link_exprs[link.index()].add_term(fv.var, v * r);
-            }
-        }
-    }
-    for (i, expr) in link_exprs.into_iter().enumerate() {
-        if !expr.terms().is_empty() {
-            let link = &model.topology().links()[i];
-            let budget = model.mlu() * link.bandwidth() - model.background(link.id());
-            lpm.add_le(expr, budget.max(0.0));
-        }
-    }
+    lp::add_link_budgets(model, &mut lpm, &vars);
 
     let sol = lpm.solve().map_err(lp::lp_err)?;
     Ok(sites
@@ -208,24 +139,7 @@ pub fn plan_vnf_placement_mip(
     // Trial model: the VNF deployed everywhere (existing + candidates).
     let trial = trial_model(model, vnf, &candidates, per_site_capacity);
 
-    let mut lpm = LpModel::new(Sense::Minimize);
-    let vars = lp::build_vars(&trial, &mut lpm);
-    for fv in &vars {
-        let chain = &trial.chains()[fv.chain];
-        let d = trial.latency(fv.from.node, fv.to.node).value();
-        if d.is_finite() {
-            lpm.set_objective_coef(fv.var, chain.stage_traffic(fv.stage) * d);
-        }
-    }
-    for (ci, _chain) in trial.chains().iter().enumerate() {
-        let expr: LinExpr = vars
-            .iter()
-            .filter(|f| f.chain == ci && f.stage == 0)
-            .map(|f| (f.var, 1.0))
-            .collect();
-        lpm.add_eq(expr, 1.0);
-    }
-    lp::add_shared_constraints(&trial, &mut lpm, &vars);
+    let (mut lpm, vars) = lp::min_latency_program(&trial)?;
 
     // Binary placement variables and linking constraints: flow into a
     // candidate site of this VNF requires w_fs = 1.

@@ -18,7 +18,7 @@ use crate::model::ChainSpec;
 use crate::route::{ChainRoutes, RoutingSolution, StageFlow};
 use sb_lp::{LinExpr, Model as LpModel, Sense, VarId};
 use sb_types::{Error, Result, SiteId, VnfId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One chain-stage-pair variable.
 pub(crate) struct FlowVar {
@@ -59,31 +59,7 @@ pub(crate) fn build_vars(model: &NetworkModel, lp: &mut LpModel) -> Vec<FlowVar>
 pub(crate) fn add_shared_constraints(model: &NetworkModel, lp: &mut LpModel, vars: &[FlowVar]) {
     add_conservation(model, lp, vars);
 
-    // Compute loads: per site and per (VNF, site).
-    let mut site_exprs: Vec<LinExpr> = vec![LinExpr::new(); model.num_sites()];
-    let mut vnf_site_exprs: HashMap<(VnfId, SiteId), LinExpr> = HashMap::new();
-    for fv in vars {
-        let chain = &model.chains()[fv.chain];
-        let traffic = chain.stage_traffic(fv.stage);
-        if let Some(site) = fv.to.site {
-            let vnf = chain.vnfs[fv.stage];
-            let lf = model.vnfs()[vnf.index()].load_per_unit;
-            site_exprs[site.index()].add_term(fv.var, lf * traffic);
-            vnf_site_exprs
-                .entry((vnf, site))
-                .or_default()
-                .add_term(fv.var, lf * traffic);
-        }
-        if let Some(site) = fv.from.site {
-            let vnf = chain.vnfs[fv.stage - 1];
-            let lf = model.vnfs()[vnf.index()].load_per_unit;
-            site_exprs[site.index()].add_term(fv.var, lf * traffic);
-            vnf_site_exprs
-                .entry((vnf, site))
-                .or_default()
-                .add_term(fv.var, lf * traffic);
-        }
-    }
+    let (site_exprs, vnf_site_exprs) = compute_loads(model, vars);
     for (i, expr) in site_exprs.into_iter().enumerate() {
         if !expr.terms().is_empty() {
             #[allow(clippy::cast_possible_truncation)]
@@ -92,16 +68,52 @@ pub(crate) fn add_shared_constraints(model: &NetworkModel, lp: &mut LpModel, var
         }
     }
     for ((vnf, site), expr) in vnf_site_exprs {
-        let cap = model.vnfs()[vnf.index()]
-            .site_capacity
-            .get(&site)
-            .copied()
-            .unwrap_or(0.0);
-        lp.add_le(expr, cap);
+        lp.add_le(expr, vnf_site_capacity(model, vnf, site));
     }
+    add_link_budgets(model, lp, vars);
+}
 
-    // MLU per link (Eq 6): forward traffic via r(from, to, e), reverse via
-    // r(to, from, e).
+/// The VNF's capacity `m_sf` at `site`; 0 where it is not deployed.
+pub(crate) fn vnf_site_capacity(model: &NetworkModel, vnf: VnfId, site: SiteId) -> f64 {
+    model.vnfs()[vnf.index()]
+        .site_capacity
+        .get(&site)
+        .copied()
+        .unwrap_or(0.0)
+}
+
+/// The Eq 4 compute loads of the flow variables: one expression per site,
+/// and one per (VNF, site) pair that carries traffic. The pairs are kept
+/// in `(VnfId, SiteId)` order, so one model always yields the same rows in
+/// the same order.
+pub(crate) fn compute_loads(
+    model: &NetworkModel,
+    vars: &[FlowVar],
+) -> (Vec<LinExpr>, BTreeMap<(VnfId, SiteId), LinExpr>) {
+    let mut site_exprs: Vec<LinExpr> = vec![LinExpr::new(); model.num_sites()];
+    let mut vnf_site_exprs: BTreeMap<(VnfId, SiteId), LinExpr> = BTreeMap::new();
+    for fv in vars {
+        let chain = &model.chains()[fv.chain];
+        let traffic = chain.stage_traffic(fv.stage);
+        let ends = [
+            fv.to.site.map(|site| (chain.vnfs[fv.stage], site)),
+            fv.from.site.map(|site| (chain.vnfs[fv.stage - 1], site)),
+        ];
+        for (vnf, site) in ends.into_iter().flatten() {
+            let load = model.vnfs()[vnf.index()].load_per_unit * traffic;
+            site_exprs[site.index()].add_term(fv.var, load);
+            vnf_site_exprs
+                .entry((vnf, site))
+                .or_default()
+                .add_term(fv.var, load);
+        }
+    }
+    (site_exprs, vnf_site_exprs)
+}
+
+/// Adds the Eq 6 MLU rows: per link, forward traffic via `r(from, to, e)`
+/// and reverse traffic via `r(to, from, e)` stay within the link's budget.
+pub(crate) fn add_link_budgets(model: &NetworkModel, lp: &mut LpModel, vars: &[FlowVar]) {
     let mut link_exprs: Vec<LinExpr> = vec![LinExpr::new(); model.topology().num_links()];
     for fv in vars {
         let chain = &model.chains()[fv.chain];
@@ -128,6 +140,43 @@ pub(crate) fn add_shared_constraints(model: &NetworkModel, lp: &mut LpModel, var
             lp.add_le(expr, budget.max(0.0));
         }
     }
+}
+
+/// Adds one demand row per chain: its first-stage fractions sum to 1, or
+/// to `alpha` when given.
+///
+/// # Errors
+///
+/// [`Error::Infeasible`] when a chain has no reachable first-stage
+/// placement.
+pub(crate) fn add_demand_rows(
+    model: &NetworkModel,
+    lp: &mut LpModel,
+    vars: &[FlowVar],
+    alpha: Option<VarId>,
+) -> Result<()> {
+    for ci in 0..model.chains().len() {
+        let mut expr: LinExpr = vars
+            .iter()
+            .filter(|f| f.chain == ci && f.stage == 0)
+            .map(|f| (f.var, 1.0))
+            .collect();
+        if expr.terms().is_empty() {
+            return Err(Error::infeasible(format!(
+                "chain {ci} has no reachable first-stage placement"
+            )));
+        }
+        match alpha {
+            Some(alpha) => {
+                expr.add_term(alpha, -1.0);
+                lp.add_eq(expr, 0.0);
+            }
+            None => {
+                lp.add_eq(expr, 1.0);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Adds the Eq 5 flow-conservation rows: per chain, per inter-stage site,
@@ -186,6 +235,38 @@ pub(crate) fn extract(
     RoutingSolution { chains }
 }
 
+/// The min-latency program: the Eq 3 objective, unit demand rows and the
+/// shared constraints.
+pub(crate) fn min_latency_program(model: &NetworkModel) -> Result<(LpModel, Vec<FlowVar>)> {
+    let mut lp = LpModel::new(Sense::Minimize);
+    let vars = build_vars(model, &mut lp);
+    // Objective: Σ (w+v) d x.
+    for fv in &vars {
+        let chain = &model.chains()[fv.chain];
+        let d = model.latency(fv.from.node, fv.to.node).value();
+        if d.is_finite() {
+            lp.set_objective_coef(fv.var, chain.stage_traffic(fv.stage) * d);
+        }
+    }
+    add_demand_rows(model, &mut lp, &vars, None)?;
+    add_shared_constraints(model, &mut lp, &vars);
+    Ok((lp, vars))
+}
+
+/// The max-throughput program: maximize α with every chain's first-stage
+/// fractions summing to α, under the shared constraints. Returns the α
+/// variable beside the program.
+pub(crate) fn max_throughput_program(
+    model: &NetworkModel,
+) -> Result<(LpModel, Vec<FlowVar>, VarId)> {
+    let mut lp = LpModel::new(Sense::Maximize);
+    let vars = build_vars(model, &mut lp);
+    let alpha = lp.add_var("alpha", 0.0, f64::INFINITY, 1.0);
+    add_demand_rows(model, &mut lp, &vars, Some(alpha))?;
+    add_shared_constraints(model, &mut lp, &vars);
+    Ok((lp, vars, alpha))
+}
+
 /// Minimizes aggregate chain latency (Eq 3) at the offered demand.
 ///
 /// # Errors
@@ -195,33 +276,7 @@ pub(crate) fn extract(
 /// - [`Error::InvalidChain`] when the model fails validation.
 pub fn min_latency(model: &NetworkModel) -> Result<RoutingSolution> {
     model.validate()?;
-    let mut lp = LpModel::new(Sense::Minimize);
-    let vars = build_vars(model, &mut lp);
-
-    // Objective: Σ (w+v) d x.
-    for fv in &vars {
-        let chain = &model.chains()[fv.chain];
-        let d = model.latency(fv.from.node, fv.to.node).value();
-        if d.is_finite() {
-            lp.set_objective_coef(fv.var, chain.stage_traffic(fv.stage) * d);
-        }
-    }
-    // Demand: first-stage fractions sum to 1 per chain.
-    for (ci, _chain) in model.chains().iter().enumerate() {
-        let expr: LinExpr = vars
-            .iter()
-            .filter(|f| f.chain == ci && f.stage == 0)
-            .map(|f| (f.var, 1.0))
-            .collect();
-        if expr.terms().is_empty() {
-            return Err(Error::infeasible(format!(
-                "chain {ci} has no reachable first-stage placement"
-            )));
-        }
-        lp.add_eq(expr, 1.0);
-    }
-    add_shared_constraints(model, &mut lp, &vars);
-
+    let (lp, vars) = min_latency_program(model)?;
     let sol = lp.solve().map_err(lp_err)?;
     Ok(extract(model, &vars, &sol, 1.0))
 }
@@ -236,27 +291,7 @@ pub fn min_latency(model: &NetworkModel) -> Result<RoutingSolution> {
 /// - [`Error::InvalidChain`] when the model fails validation.
 pub fn max_throughput(model: &NetworkModel) -> Result<(RoutingSolution, f64)> {
     model.validate()?;
-    let mut lp = LpModel::new(Sense::Maximize);
-    let vars = build_vars(model, &mut lp);
-    let alpha = lp.add_var("alpha", 0.0, f64::INFINITY, 1.0);
-
-    // Demand: first-stage fractions sum to α per chain.
-    for (ci, _chain) in model.chains().iter().enumerate() {
-        let mut expr: LinExpr = vars
-            .iter()
-            .filter(|f| f.chain == ci && f.stage == 0)
-            .map(|f| (f.var, 1.0))
-            .collect();
-        if expr.terms().is_empty() {
-            return Err(Error::infeasible(format!(
-                "chain {ci} has no reachable first-stage placement"
-            )));
-        }
-        expr.add_term(alpha, -1.0);
-        lp.add_eq(expr, 0.0);
-    }
-    add_shared_constraints(model, &mut lp, &vars);
-
+    let (lp, vars, alpha) = max_throughput_program(model)?;
     let sol = lp.solve().map_err(lp_err)?;
     let a = sol.value(alpha);
     if a <= 1e-9 {
@@ -278,7 +313,7 @@ pub(crate) fn lp_err(e: sb_lp::LpError) -> Error {
 mod tests {
     use super::*;
     use crate::eval::Evaluation;
-    use crate::model::testutil::line_model;
+    use crate::model::testutil::{backbone_model, line_model};
     use sb_types::{ChainId, Millis, NodeId};
     use std::collections::HashMap as Map;
 
@@ -400,5 +435,43 @@ mod tests {
         // carries all forward stage-0 traffic: 10 α ≤ 50 -> α = 5.
         assert!((alpha - 5.0).abs() < 1e-5, "{alpha}");
         assert!(e.is_feasible(&m, 1e-6));
+    }
+
+    #[test]
+    fn programs_are_built_identically_row_for_row() {
+        let m = backbone_model();
+        let (a, _, _) = max_throughput_program(&m).unwrap();
+        let (b, _, _) = max_throughput_program(&m).unwrap();
+        assert!(a.num_constraints() > 100, "{} rows", a.num_constraints());
+        assert_eq!(a, b);
+        let (a, _) = min_latency_program(&m).unwrap();
+        let (b, _) = min_latency_program(&m).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn solve_stats_repeat_exactly() {
+        let m = backbone_model();
+        let solve = || max_throughput_program(&m).unwrap().0.solve().unwrap();
+        let (first, second) = (solve(), solve());
+        assert!(first.stats().phase2_pivots > 0, "{:?}", first.stats());
+        assert!(first.stats().reinversions > 0, "{:?}", first.stats());
+        assert_eq!(first.stats(), second.stats());
+        assert_eq!(first.values(), second.values());
+    }
+
+    #[test]
+    fn eta_simplex_matches_dense_reference_on_a_backbone_program() {
+        let (lp, _, _) = max_throughput_program(&backbone_model()).unwrap();
+        let eta = lp.solve().unwrap();
+        let dense = sb_lp::reference::solve(&lp).unwrap();
+        let cert = eta.certificate().unwrap();
+        assert!(cert.holds(), "{cert:?}");
+        assert!(
+            (eta.objective() - dense.objective()).abs() <= 1e-6 * dense.objective().abs().max(1.0),
+            "eta {} vs dense {}",
+            eta.objective(),
+            dense.objective()
+        );
     }
 }

@@ -486,6 +486,49 @@ pub(crate) mod testutil {
         ));
         b.build().unwrap()
     }
+
+    /// The 25-node tier-1 backbone with a site of capacity 400 at every
+    /// node, five VNFs at eight sites each (site capacity divided equally
+    /// among co-located VNFs) and four 3-4-VNF chains: a planning program
+    /// of a few hundred rows, like the tier-1 instances but fixed.
+    pub(crate) fn backbone_model() -> NetworkModel {
+        let topo = sb_topology::tier1::backbone();
+        let nodes = topo.node_ids();
+        let mut b = NetworkModel::builder(topo);
+        let sites: Vec<SiteId> = nodes.iter().map(|&n| b.add_site(n, 400.0)).collect();
+        let placements: Vec<Vec<SiteId>> = (0..5)
+            .map(|f| {
+                (0..8)
+                    .map(|k| sites[(7 * f + 3 * k) % sites.len()])
+                    .collect()
+            })
+            .collect();
+        let mut count: HashMap<SiteId, f64> = HashMap::new();
+        for &s in placements.iter().flatten() {
+            *count.entry(s).or_default() += 1.0;
+        }
+        for placement in &placements {
+            let caps = placement.iter().map(|s| (*s, 400.0 / count[s])).collect();
+            b.add_vnf(caps, 1.0);
+        }
+        let chains: [(usize, usize, &[u32]); 4] = [
+            (0, 13, &[0, 2, 4]),
+            (5, 21, &[1, 2, 3]),
+            (9, 2, &[0, 1, 3, 4]),
+            (17, 11, &[2, 3, 4]),
+        ];
+        for (i, (src, dst, vnfs)) in chains.into_iter().enumerate() {
+            b.add_chain(ChainSpec::uniform(
+                ChainId::new(i as u64),
+                nodes[src],
+                nodes[dst],
+                vnfs.iter().map(|&v| VnfId::new(v)).collect(),
+                40.0,
+                10.0,
+            ));
+        }
+        b.build().unwrap()
+    }
 }
 
 #[cfg(test)]
